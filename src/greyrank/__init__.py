@@ -1,59 +1,27 @@
 """greyrank: rank decision plans with mixed-type attributes.
 
 Real numbers, intervals, linguistic terms, and uncertain linguistic terms
-are lifted onto a common 4-tuple representation, normalized by attribute
-direction, weighted by combined subjective/objective interval grey weights,
-scored by four grey-relational methods, and fused into one final ranking
-with a weighted Borda count.
+are parsed into one array of bounds, lifted onto a common 4-tuple
+representation and normalized by attribute direction, weighted by combined
+subjective/objective interval grey weights, scored by four grey-relational
+methods, and fused into one final ranking with a weighted Borda count.
+
+The package namespace holds the entry points, the errors, and the types a
+caller builds or reads off a :class:`Report`. The per-step helpers stay
+importable from their modules (``greyrank.normalize``, ``greyrank.weights``,
+``greyrank.evaluate``, ``greyrank.aggregate``, ``greyrank.report``).
 """
 
-from .aggregate import BordaConfig, RankResult, scores_to_ranks, weighted_borda
+from .aggregate import BordaConfig, RankResult
 from .datasets import fighter_problem_path, load_fighter_problem
 from .errors import DegenerateProblemError, GreyrankError, ValidationError
-from .evaluate import (
-    IdealVectors,
-    MethodParams,
-    MethodScores,
-    apply_weights,
-    approach_with_preference,
-    blend_preference,
-    comprehensive_incidence,
-    ideal_vectors,
-    incidence_coefficients,
-    incidence_degrees,
-    max_entropy_weights,
-    membership_degrees,
-    score_all_methods,
-    topsis_scores,
-)
-from .normalize import AttributeSpec, normalize_column, normalize_matrix
+from .evaluate import IdealVectors, MethodParams, MethodScores
+from .normalize import AttributeSpec
 from .pipeline import Report, run_pipeline
 from .problem import DecisionProblem, parse_problem, parse_problem_dict
-from .report import emit_report, render_csv, render_json, render_text
-from .values import (
-    GeneralizedValue,
-    IntervalCell,
-    IntervalGreyNumber,
-    LinguisticCell,
-    LinguisticTerm,
-    RealCell,
-    UncertainCell,
-    canonical_labels,
-    distance,
-    lift,
-)
-from .weights import (
-    WeightBundle,
-    comprehensive_objective,
-    compute_weight_bundle,
-    deviation_totals,
-    entropy_weight_table,
-    entropy_weights,
-    final_weights,
-    optimization_weights,
-    optimization_weights_unit,
-    subjective_interval_weights,
-)
+from .report import emit_report
+from .values import IntervalGreyNumber
+from .weights import WeightBundle
 
 __version__ = "0.1.0"
 
@@ -62,55 +30,20 @@ __all__ = [
     "BordaConfig",
     "DecisionProblem",
     "DegenerateProblemError",
-    "GeneralizedValue",
     "GreyrankError",
     "IdealVectors",
-    "IntervalCell",
     "IntervalGreyNumber",
-    "LinguisticCell",
-    "LinguisticTerm",
     "MethodParams",
     "MethodScores",
     "RankResult",
-    "RealCell",
     "Report",
-    "UncertainCell",
     "ValidationError",
     "WeightBundle",
     "__version__",
-    "apply_weights",
-    "approach_with_preference",
-    "blend_preference",
-    "canonical_labels",
-    "comprehensive_incidence",
-    "comprehensive_objective",
-    "compute_weight_bundle",
-    "deviation_totals",
-    "distance",
     "emit_report",
-    "entropy_weight_table",
-    "entropy_weights",
     "fighter_problem_path",
-    "final_weights",
-    "ideal_vectors",
-    "incidence_coefficients",
-    "incidence_degrees",
-    "lift",
     "load_fighter_problem",
-    "max_entropy_weights",
-    "membership_degrees",
-    "normalize_column",
-    "normalize_matrix",
-    "optimization_weights",
-    "optimization_weights_unit",
     "parse_problem",
     "parse_problem_dict",
-    "render_csv",
-    "render_json",
-    "render_text",
     "run_pipeline",
-    "scores_to_ranks",
-    "subjective_interval_weights",
-    "topsis_scores",
-    "weighted_borda",
 ]

@@ -24,7 +24,8 @@ def scores_to_ranks(scores) -> np.ndarray:
         raise ValidationError(f"expected a nonempty score vector, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValidationError("scores contain non-finite entries")
-    return 1 + (s[None, :] > s[:, None]).sum(axis=1)
+    # 1 + the number of strictly larger scores, in O(n log n) time and O(n) memory
+    return 1 + s.size - np.searchsorted(np.sort(s), s, side="right")
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,8 @@ class BordaConfig:
         w = np.asarray(self.method_weights, dtype=np.float64)
         if w.shape != (4,):
             raise ValidationError(f"expected 4 method weights, got {len(self.method_weights)}")
+        if not np.isfinite(w).all():
+            raise ValidationError(f"method weights must be finite, got {w.tolist()}")
         if (w < 0).any():
             raise ValidationError("method weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-9:

@@ -1,17 +1,21 @@
-"""Type- and direction-aware normalization of raw decision columns.
+"""Type- and direction-aware normalization of the decision matrix.
 
-Every column is normalized against its own column sums so the result is
-dimensionless and scale-invariant:
+The input is the problem's bounds array of shape (n, m, 2): ``(lo, hi)`` for
+real and interval cells (a real is ``(v, v)``) and ``(lower, upper)`` term
+indices in -5..5 for linguistic and uncertain cells (a single term ``k`` is
+``(k, k)``). Every column is normalized against its own column sums, so the
+result is dimensionless and scale-invariant. Two rules cover the four kinds:
 
-* benefit interval (reals are degenerate intervals): lo_i / sum(hi),
-  hi_i / sum(lo)
-* cost interval: reciprocals with a bound swap, (1/hi_i) / sum(1/lo),
-  (1/lo_i) / sum(1/hi), which keeps lower <= upper
-* linguistic triangle (L, M, U): every component over sum(M)
-* uncertain trapezoid (L, a, b, U): (L, a) over sum(a) and (b, U) over sum(b)
+* interval rule (real and interval columns), lifted to (x_lo, x_lo, x_hi, x_hi):
+  benefit lo_i / sum(hi), hi_i / sum(lo); cost takes reciprocals with a bound
+  swap, (1/hi_i) / sum(1/lo), (1/lo_i) / sum(1/hi), which keeps lower <= upper
+* term rule (linguistic and uncertain columns): the index range [a, b] lifts to
+  the trapezoid (L_a, M_a, M_b, U_b) spanned by the two terms' triangles, and
+  (L_a, M_a) is divided by sum(M_a), (M_b, U_b) by sum(M_b). A linguistic
+  term is the range [k, k], whose trapezoid is its triangle (L, M, M, U).
 
-Cost-direction linguistic and uncertain columns are first mirrored on the
-term scale (index -> -index) and then normalized as benefit columns.
+Cost-direction term columns are first mirrored on the scale, [a, b] ->
+[-b, -a], and then normalized as benefit columns.
 """
 
 from __future__ import annotations
@@ -22,27 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateProblemError, ValidationError
-from .values import (
-    GeneralizedValue,
-    IntervalCell,
-    LinguisticCell,
-    RawCell,
-    RealCell,
-    UncertainCell,
-    term_to_triangle,
-)
+from .values import term_to_triangle
 
-__all__ = ["AttributeSpec", "KINDS", "DIRECTIONS", "normalize_column", "normalize_matrix"]
+__all__ = ["AttributeSpec", "KINDS", "DIRECTIONS", "normalize_matrix"]
 
 KINDS = ("real", "interval", "linguistic", "uncertain-linguistic")
 DIRECTIONS = ("benefit", "cost")
 
-_KIND_TO_CLASS = {
-    "real": RealCell,
-    "interval": IntervalCell,
-    "linguistic": LinguisticCell,
-    "uncertain-linguistic": UncertainCell,
-}
+_TRIANGLES = np.array([term_to_triangle(k) for k in range(-5, 6)])  # (11, 3) = L, M, U
 
 
 @dataclass(frozen=True)
@@ -63,28 +54,6 @@ class AttributeSpec:
                 f"attribute {self.id!r}: unknown direction {self.direction!r}; "
                 f"expected one of {DIRECTIONS}"
             )
-
-
-def _check_kinds(cells: Sequence[RawCell], spec: AttributeSpec) -> None:
-    want = _KIND_TO_CLASS[spec.kind]
-    for i, cell in enumerate(cells):
-        if not isinstance(cell, want):
-            raise ValidationError(
-                f"attribute {spec.id!r}, row {i}: cell {cell!r} does not match "
-                f"declared kind {spec.kind!r}"
-            )
-
-
-def _interval_bounds(cells: Sequence[RawCell]) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.empty(len(cells))
-    hi = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        if isinstance(cell, RealCell):
-            lo[i] = hi[i] = cell.value
-        else:
-            lo[i] = cell.lo  # type: ignore[union-attr]
-            hi[i] = cell.hi  # type: ignore[union-attr]
-    return lo, hi
 
 
 def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> np.ndarray:
@@ -117,78 +86,62 @@ def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> 
     return np.stack([x_lo, x_lo, x_hi, x_hi], axis=1)
 
 
-def _normalize_linguistic(cells: Sequence[LinguisticCell], spec: AttributeSpec) -> np.ndarray:
-    terms = [c.term for c in cells]
-    if spec.direction == "cost":
-        terms = [t.complement() for t in terms]
-    tri = np.array([term_to_triangle(t) for t in terms])  # (n, 3) = L, M, U
-    mid_sum = tri[:, 1].sum()
-    if mid_sum <= 0:
-        raise DegenerateProblemError(
-            f"attribute {spec.id!r}: linguistic column midpoints sum to zero"
+def _normalize_terms(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> np.ndarray:
+    on_scale = (np.abs(lo) <= 5) & (lo == np.round(lo)) & (np.abs(hi) <= 5) & (hi == np.round(hi))
+    if not on_scale.all():
+        bad = int(np.argmin(on_scale))
+        raise ValidationError(
+            f"attribute {spec.id!r}, row {bad}: ({lo[bad]}, {hi[bad]}) is not a pair "
+            f"of term indices in -5..5 for kind {spec.kind!r}"
         )
-    scaled = tri / mid_sum
-    return scaled[:, [0, 1, 1, 2]]
-
-
-def _normalize_uncertain(cells: Sequence[UncertainCell], spec: AttributeSpec) -> np.ndarray:
-    pairs = [(c.lower, c.upper) for c in cells]
     if spec.direction == "cost":
-        # Mirroring reverses order, so the bounds swap roles.
-        pairs = [(up.complement(), lo.complement()) for lo, up in pairs]
-    trap = np.empty((len(pairs), 4))
-    for i, (lo_term, up_term) in enumerate(pairs):
-        alo, amid, _ = term_to_triangle(lo_term)
-        _, bmid, bup = term_to_triangle(up_term)
-        trap[i] = (alo, amid, bmid, bup)
+        # Mirroring reverses order, so the bounds swap roles. Mirroring the
+        # indices keeps the triangles exact, where 1 - t would round.
+        lo, hi = -hi, -lo
+    a = _TRIANGLES[lo.astype(np.intp) + 5]
+    b = _TRIANGLES[hi.astype(np.intp) + 5]
+    trap = np.stack([a[:, 0], a[:, 1], b[:, 1], b[:, 2]], axis=1)
     lower_sum = trap[:, 1].sum()
     upper_sum = trap[:, 2].sum()
     if lower_sum <= 0 or upper_sum <= 0:
         raise DegenerateProblemError(
-            f"attribute {spec.id!r}: uncertain linguistic column midpoints sum to zero"
+            f"attribute {spec.id!r}: {spec.kind} column midpoints sum to zero"
         )
     return trap / np.array([lower_sum, lower_sum, upper_sum, upper_sum])
 
 
-def normalize_column(cells: Sequence[RawCell], spec: AttributeSpec) -> list[GeneralizedValue]:
-    """Normalize one raw column into dimensionless 4-tuples.
+def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndarray:
+    """Normalize the (n, m, 2) bounds array column by column into shape (n, m, 4).
 
-    The ascending ordering of each output tuple is enforced by a final sort.
-    For interval and linguistic rules the components are already ordered and
-    the sort only guards against floating-point inversions; trapezoid columns
-    can produce genuine inversions (a degenerate uncertain cell next to wide
-    ones), which the sort repairs as well.
+    Each column's tuples are put in ascending order by one sort. For the
+    interval rule and for linguistic columns the components are already
+    ordered and the sort only guards against floating-point inversions;
+    uncertain columns can produce genuine inversions (a degenerate range next
+    to wide ones), which the sort repairs as well. A non-finite result is
+    reported with its attribute and row.
     """
-    if len(cells) == 0:
-        raise ValidationError(f"attribute {spec.id!r}: empty column")
-    _check_kinds(cells, spec)
-    if spec.kind in ("real", "interval"):
-        lo, hi = _interval_bounds(cells)
-        out = _normalize_interval(lo, hi, spec)
-    elif spec.kind == "linguistic":
-        out = _normalize_linguistic(cells, spec)  # type: ignore[arg-type]
-    else:
-        out = _normalize_uncertain(cells, spec)  # type: ignore[arg-type]
-    out = np.sort(out, axis=1)
-    return [GeneralizedValue(*row) for row in out]
-
-
-def normalize_matrix(
-    cells: Sequence[Sequence[RawCell]], specs: Sequence[AttributeSpec]
-) -> np.ndarray:
-    """Normalize an n x m raw matrix column by column into shape (n, m, 4)."""
-    if len(cells) == 0:
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim != 3 or raw.shape[1:] != (len(specs), 2):
+        raise ValidationError(
+            f"expected a bounds array of shape (n, {len(specs)}, 2), got {raw.shape}"
+        )
+    if raw.shape[0] == 0:
         raise ValidationError("decision matrix has no plans")
     if len(specs) == 0:
         raise ValidationError("decision matrix has no attributes")
-    for i, row in enumerate(cells):
-        if len(row) != len(specs):
-            raise ValidationError(
-                f"plan row {i} has {len(row)} cells, expected {len(specs)}"
-            )
-    out = np.empty((len(cells), len(specs), 4))
+    out = np.empty((raw.shape[0], len(specs), 4))
     for j, spec in enumerate(specs):
-        column = [row[j] for row in cells]
-        for i, value in enumerate(normalize_column(column, spec)):
-            out[i, j] = value.as_tuple()
+        lo, hi = raw[:, j, 0], raw[:, j, 1]
+        if spec.kind in ("real", "interval"):
+            col = _normalize_interval(lo, hi, spec)
+        else:
+            col = _normalize_terms(lo, hi, spec)
+        col = np.sort(col, axis=1)
+        if not np.isfinite(col).all():
+            bad = int(np.argmin(np.isfinite(col).all(axis=1)))
+            raise ValidationError(
+                f"attribute {spec.id!r}, row {bad}: normalized value "
+                f"{col[bad].tolist()} is not finite"
+            )
+        out[:, j] = col
     return out

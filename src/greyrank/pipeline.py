@@ -136,7 +136,7 @@ def run_pipeline(problem: DecisionProblem) -> Report:
     n, m = problem.n_plans, problem.n_attributes
 
     with _stage("normalize"):
-        x = normalize_matrix(problem.cells, problem.attributes)
+        x = normalize_matrix(problem.raw, problem.attributes)
 
     with _stage("weights"):
         try:

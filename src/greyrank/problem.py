@@ -21,12 +21,19 @@ Problem files are JSON documents with ``"schema": 1``:
 * ``name``, ``notes`` — optional free text.
 
 Every violation is reported with the plan/attribute location that caused it.
+The matrix is validated cell by cell and stored as one float array of bounds,
+:attr:`DecisionProblem.raw`, of shape (n, m, 2): ``(lo, hi)`` for real and
+interval cells (a real ``v`` is ``(v, v)``), and ``(lower, upper)`` term
+indices in -5..5 for linguistic and uncertain cells (a term ``k`` is
+``(k, k)``). The column kinds in :attr:`DecisionProblem.attributes` say which
+reading applies.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,16 +43,7 @@ from .aggregate import BordaConfig
 from .errors import ValidationError
 from .evaluate import MethodParams
 from .normalize import AttributeSpec
-from .values import (
-    GeneralizedValue,
-    IntervalCell,
-    IntervalGreyNumber,
-    LinguisticCell,
-    LinguisticTerm,
-    RawCell,
-    RealCell,
-    UncertainCell,
-)
+from .values import IntervalGreyNumber, term_index
 from .weights import subjective_interval_weights
 
 __all__ = ["DecisionProblem", "parse_problem", "parse_problem_dict"]
@@ -75,7 +73,7 @@ class DecisionProblem:
     name: str
     plans: list[str]
     attributes: list[AttributeSpec]
-    cells: list[list[RawCell]]
+    raw: np.ndarray  # (n, m, 2) cell bounds; see the module docstring
     subjective: list[IntervalGreyNumber]
     subjective_source: str  # "experts" | "intervals"
     preferences: np.ndarray  # (n, 4)
@@ -101,10 +99,17 @@ def _require(condition: bool, message: str) -> None:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # JSON integers are unbounded; this one has no finite float value
+        raise ValidationError(
+            f"{where}: non-finite number, integer too large for a float"
+        ) from None
 
 
-def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> RawCell:
+def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> tuple[float, float]:
+    """Validate one cell and return its bounds: values, or term indices."""
     try:
         if kind == "real":
             if isinstance(raw, dict):
@@ -113,7 +118,10 @@ def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> RawCell:
                         f"{where}: real cell must be a number or {{\"real\": v}}, got {raw!r}"
                     )
                 raw = raw["real"]
-            return RealCell(_as_number(raw, where))
+            value = _as_number(raw, where)
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite real cell {value}")
+            return value, value
         if kind == "interval":
             if not (isinstance(raw, dict) and set(raw) == {"interval"}):
                 raise ValidationError(
@@ -123,13 +131,19 @@ def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> RawCell:
             bounds = raw["interval"]
             if not (isinstance(bounds, list) and len(bounds) == 2):
                 raise ValidationError(f"{where}: interval needs exactly two bounds, got {bounds!r}")
-            return IntervalCell(_as_number(bounds[0], where), _as_number(bounds[1], where))
+            lo, hi = _as_number(bounds[0], where), _as_number(bounds[1], where)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(f"non-finite interval bound in [{lo}, {hi}]")
+            if lo > hi:
+                raise ValidationError(f"interval bounds out of order: [{lo}, {hi}]")
+            return lo, hi
         if kind == "linguistic":
             if not (isinstance(raw, dict) and set(raw) == {"ling"} and isinstance(raw["ling"], str)):
                 raise ValidationError(
                     f"{where}: linguistic cell must look like {{\"ling\": \"high\"}}, got {raw!r}"
                 )
-            return LinguisticCell(LinguisticTerm.from_label(raw["ling"], aliases))
+            k = term_index(raw["ling"], aliases)
+            return k, k
         # uncertain-linguistic
         if not (isinstance(raw, dict) and set(raw) == {"uncertain"}):
             raise ValidationError(
@@ -139,14 +153,28 @@ def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> RawCell:
         pair = raw["uncertain"]
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(t, str) for t in pair)):
             raise ValidationError(f"{where}: uncertain cell needs two term labels, got {pair!r}")
-        return UncertainCell(
-            LinguisticTerm.from_label(pair[0], aliases),
-            LinguisticTerm.from_label(pair[1], aliases),
-        )
+        lower, upper = term_index(pair[0], aliases), term_index(pair[1], aliases)
+        if lower > upper:
+            raise ValidationError(
+                f"uncertain linguistic range out of order: [{pair[0]!r}, {pair[1]!r}]"
+            )
+        return lower, upper
     except ValidationError as exc:
         if str(exc).startswith(where):
             raise
         raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _parse_preference(entry, where: str) -> list[float]:
+    """One ascending, finite 4-tuple of numbers."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
+        raise ValidationError(f"{where}: expected 4 components, got {entry!r}")
+    q = [_as_number(v, where) for v in entry]
+    if not all(math.isfinite(v) for v in q):
+        raise ValidationError(f"{where}: non-finite component in 4-tuple {q}")
+    if not q[0] <= q[1] <= q[2] <= q[3]:
+        raise ValidationError(f"{where}: 4-tuple components not ascending: {q}")
+    return q
 
 
 def _parse_aliases(data) -> dict[str, str]:
@@ -160,7 +188,7 @@ def _parse_aliases(data) -> dict[str, str]:
             f"linguistic_aliases entry {key!r}: both sides must be strings",
         )
         # The target must itself resolve on the canonical scale.
-        LinguisticTerm.from_label(value)
+        term_index(value)
         aliases[" ".join(key.strip().lower().split())] = value
     return aliases
 
@@ -280,17 +308,15 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         isinstance(matrix, list) and len(matrix) == n,
         f"matrix must have one row per plan ({n} rows)",
     )
-    cells: list[list[RawCell]] = []
+    bounds: list[float] = []
     for i, row in enumerate(matrix):
         _require(
             isinstance(row, list) and len(row) == m,
             f"plan {plans[i]!r}: matrix row must have {m} cells",
         )
-        parsed_row = []
-        for j, raw in enumerate(row):
+        for j, cell in enumerate(row):
             where = f"plan {plans[i]!r}, attribute {attributes[j].id!r}"
-            parsed_row.append(_parse_cell(raw, attributes[j].kind, aliases, where))
-        cells.append(parsed_row)
+            bounds.extend(_parse_cell(cell, attributes[j].kind, aliases, where))
 
     _require("subjective_weights" in data, "subjective_weights is required")
     subjective, subjective_source = _parse_subjective(data["subjective_weights"], m)
@@ -300,12 +326,11 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         isinstance(prefs_raw, list) and len(prefs_raw) == n,
         f"preferences must list one 4-tuple per plan ({n} entries)",
     )
-    prefs = np.empty((n, 4))
-    for i, entry in enumerate(prefs_raw):
-        try:
-            prefs[i] = GeneralizedValue.from_iterable(entry).as_tuple()
-        except (ValidationError, TypeError) as exc:
-            raise ValidationError(f"preference for plan {plans[i]!r}: {exc}") from exc
+    prefs = np.array(
+        [_parse_preference(entry, f"preference for plan {plans[i]!r}")
+         for i, entry in enumerate(prefs_raw)],
+        dtype=np.float64,
+    )
 
     params, borda = _parse_params(data.get("params"))
 
@@ -316,7 +341,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         name=name,
         plans=list(plans),
         attributes=attributes,
-        cells=cells,
+        raw=np.array(bounds, dtype=np.float64).reshape(n, m, 2),
         subjective=subjective,
         subjective_source=subjective_source,
         preferences=prefs,

@@ -1,10 +1,13 @@
-"""Core value types for mixed-type decision matrices.
+"""The linguistic scale and the interval grey number.
 
 Attribute values come in four flavours: crisp reals, closed intervals,
-linguistic terms on an 11-step scale, and uncertain linguistic ranges
-(a pair of terms). All of them are lifted into an ordered real 4-tuple
-(:class:`GeneralizedValue`) so that every downstream computation happens in
-one metric space, 4-dimensional Euclidean.
+linguistic terms on an 11-step scale, and uncertain linguistic ranges (a pair
+of terms). A problem stores them all as bounds in one float array of shape
+(n, m, 2): ``(lo, hi)`` for reals and intervals, a real ``v`` being
+``(v, v)``, and ``(lower, upper)`` term indices in -5..5 for linguistic and
+uncertain cells, a single term ``k`` being ``(k, k)``. Normalization lifts
+those bounds into ordered real 4-tuples, so every downstream computation
+happens in one metric space, 4-dimensional Euclidean.
 """
 
 from __future__ import annotations
@@ -12,23 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = [
     "DEFAULT_ALIASES",
-    "GeneralizedValue",
-    "IntervalCell",
     "IntervalGreyNumber",
-    "LinguisticCell",
-    "LinguisticTerm",
-    "RawCell",
-    "RealCell",
-    "UncertainCell",
     "canonical_labels",
-    "distance",
-    "lift",
+    "term_index",
     "term_to_triangle",
 ]
 
@@ -67,91 +60,32 @@ def _normalize_label(label: str) -> str:
     return " ".join(label.strip().lower().split())
 
 
-@dataclass(frozen=True)
-class LinguisticTerm:
-    """One term of the 11-step scale, identified by its index in -5..5."""
+def term_index(label: str, aliases: dict[str, str] | None = None) -> int:
+    """Resolve a label, case-insensitively, through the alias map to its index.
 
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index not in _SCALE:
-            raise ValidationError(
-                f"linguistic index {self.index} out of range -5..5"
-            )
-
-    @property
-    def label(self) -> str:
-        return _SCALE[self.index][0]
-
-    @classmethod
-    def from_label(cls, label: str, aliases: dict[str, str] | None = None) -> "LinguisticTerm":
-        """Resolve a label, case-insensitively, through the alias map.
-
-        Custom aliases take precedence over the built-in ones. Unknown labels
-        raise :class:`ValidationError` listing every accepted spelling.
-        """
-        key = _normalize_label(label)
-        if aliases and key in aliases:
-            key = _normalize_label(aliases[key])
-        if key in DEFAULT_ALIASES:
-            key = DEFAULT_ALIASES[key]
-        if key not in _LABEL_TO_INDEX:
-            accepted = ", ".join(
-                canonical_labels() + sorted(DEFAULT_ALIASES) + sorted(aliases or {})
-            )
-            raise ValidationError(
-                f"unknown linguistic term {label!r}; accepted terms: {accepted}"
-            )
-        return cls(_LABEL_TO_INDEX[key])
-
-    def complement(self) -> "LinguisticTerm":
-        """The mirrored term (index negated); used for cost-direction columns."""
-        return LinguisticTerm(-self.index)
-
-    def __le__(self, other: "LinguisticTerm") -> bool:
-        return self.index <= other.index
-
-
-def term_to_triangle(term: LinguisticTerm) -> tuple[float, float, float]:
-    """The fixed triangular fuzzy number (L, M, U) attached to a scale term."""
-    return _SCALE[term.index][1]
-
-
-@dataclass(frozen=True)
-class GeneralizedValue:
-    """An ordered real 4-tuple; the common currency of all attribute types.
-
-    Crisp reals come out with all four components equal, intervals with the
-    two lower and two upper components equal, linguistic terms with the middle
-    pair equal, and uncertain linguistic ranges with all four potentially
-    distinct. Those shapes are descriptive only; nothing downstream relies on
-    them, and normalization may collapse them.
+    Custom aliases take precedence over the built-in ones. Unknown labels
+    raise :class:`ValidationError` listing every accepted spelling.
     """
+    key = _normalize_label(label)
+    if aliases and key in aliases:
+        key = _normalize_label(aliases[key])
+    if key in DEFAULT_ALIASES:
+        key = DEFAULT_ALIASES[key]
+    if key not in _LABEL_TO_INDEX:
+        accepted = ", ".join(
+            canonical_labels() + sorted(DEFAULT_ALIASES) + sorted(aliases or {})
+        )
+        raise ValidationError(
+            f"unknown linguistic term {label!r}; accepted terms: {accepted}"
+        )
+    return _LABEL_TO_INDEX[key]
 
-    a1: float
-    a2: float
-    a3: float
-    a4: float
 
-    def __post_init__(self) -> None:
-        comps = (self.a1, self.a2, self.a3, self.a4)
-        if not all(math.isfinite(c) for c in comps):
-            raise ValidationError(f"non-finite component in 4-tuple {comps}")
-        if not (self.a1 <= self.a2 <= self.a3 <= self.a4):
-            raise ValidationError(f"4-tuple components not ascending: {comps}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.a1, self.a2, self.a3, self.a4)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=np.float64)
-
-    @classmethod
-    def from_iterable(cls, values) -> "GeneralizedValue":
-        vals = [float(v) for v in values]
-        if len(vals) != 4:
-            raise ValidationError(f"expected 4 components, got {len(vals)}")
-        return cls(*vals)
+def term_to_triangle(index: int) -> tuple[float, float, float]:
+    """The fixed triangular fuzzy number (L, M, U) attached to a scale index."""
+    if index not in _SCALE:
+        raise ValidationError(f"linguistic index {index} out of range -5..5")
+    return _SCALE[index][1]
 
 
 @dataclass(frozen=True)
@@ -171,77 +105,3 @@ class IntervalGreyNumber:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.lo, self.hi)
-
-
-# ---------------------------------------------------------------------------
-# Raw cells: the tagged union of input attribute values
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RealCell:
-    value: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValidationError(f"non-finite real cell {self.value}")
-
-
-@dataclass(frozen=True)
-class IntervalCell:
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValidationError(f"non-finite interval bound in [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValidationError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class LinguisticCell:
-    term: LinguisticTerm
-
-
-@dataclass(frozen=True)
-class UncertainCell:
-    lower: LinguisticTerm
-    upper: LinguisticTerm
-
-    def __post_init__(self) -> None:
-        if self.lower.index > self.upper.index:
-            raise ValidationError(
-                f"uncertain linguistic range out of order: "
-                f"[{self.lower.label!r}, {self.upper.label!r}]"
-            )
-
-
-RawCell = RealCell | IntervalCell | LinguisticCell | UncertainCell
-
-
-def lift(cell: RawCell) -> GeneralizedValue:
-    """Lift a raw cell into its 4-tuple form.
-
-    Real v -> (v, v, v, v); interval [lo, hi] -> (lo, lo, hi, hi); a
-    linguistic term with triangle (L, M, U) -> (L, M, M, U); an uncertain
-    range [S_lo, S_hi] -> (L_lo, M_lo, M_hi, U_hi), the trapezoid spanned by
-    the two triangles.
-    """
-    if isinstance(cell, RealCell):
-        v = float(cell.value)
-        return GeneralizedValue(v, v, v, v)
-    if isinstance(cell, IntervalCell):
-        return GeneralizedValue(cell.lo, cell.lo, cell.hi, cell.hi)
-    if isinstance(cell, LinguisticCell):
-        lo, mid, up = term_to_triangle(cell.term)
-        return GeneralizedValue(lo, mid, mid, up)
-    if isinstance(cell, UncertainCell):
-        alo, amid, _ = term_to_triangle(cell.lower)
-        _, bmid, bup = term_to_triangle(cell.upper)
-        return GeneralizedValue(alo, amid, bmid, bup)
-    raise ValidationError(f"not a raw cell: {cell!r}")
-
-
-def distance(a: GeneralizedValue, b: GeneralizedValue) -> float:
-    """Euclidean distance between two 4-tuples."""
-    return math.dist(a.as_tuple(), b.as_tuple())

@@ -25,13 +25,11 @@ from .values import IntervalGreyNumber
 __all__ = [
     "WeightBundle",
     "comprehensive_objective",
-    "compute_weight_bundle",
     "deviation_totals",
     "entropy_weight_table",
     "entropy_weights",
     "final_weights",
     "optimization_weights",
-    "optimization_weights_unit",
     "subjective_interval_weights",
 ]
 
@@ -56,21 +54,6 @@ def deviation_totals(x: np.ndarray) -> np.ndarray:
     if x.ndim != 3 or x.shape[2] != 4:
         raise ValidationError(f"expected a (n, m, 4) matrix, got shape {x.shape}")
     return pairwise_deviation_sums(x)
-
-
-def optimization_weights_unit(x: np.ndarray) -> np.ndarray:
-    """Deviation-maximizing weights with unit Euclidean norm.
-
-    This is the exact maximizer of the total weighted deviation over the
-    nonnegative unit sphere: the deviation totals scaled to norm one.
-    """
-    totals = deviation_totals(x)
-    norm = float(np.sqrt((totals * totals).sum()))
-    if norm <= 0:
-        raise DegenerateProblemError(
-            "all plans are identical in every attribute; deviation weights undefined"
-        )
-    return totals / norm
 
 
 def optimization_weights(x: np.ndarray) -> np.ndarray:
@@ -180,13 +163,3 @@ class WeightBundle:
     beta_interval: list[IntervalGreyNumber]
     w_final: list[IntervalGreyNumber]
 
-
-def compute_weight_bundle(
-    x: np.ndarray, alpha: Sequence[IntervalGreyNumber]
-) -> WeightBundle:
-    """Derive all weight vectors from the normalized matrix and subjective intervals."""
-    beta_opt = optimization_weights(x)
-    beta_ent = entropy_weight_table(x)
-    beta_interval = comprehensive_objective(beta_opt, beta_ent)
-    w_final = final_weights(list(alpha), beta_interval)
-    return WeightBundle(list(alpha), beta_opt, beta_ent, beta_interval, w_final)

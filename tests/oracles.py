@@ -112,13 +112,19 @@ def loop_competition_ranks(scores) -> list[int]:
     return ranks
 
 
-def loop_incidence_grid(y: np.ndarray, ref: np.ndarray, rho: float) -> np.ndarray:
-    """Deng incidence coefficients against ``ref``, min/max over the grid."""
+def loop_distance_grid(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """4-tuple distance from every (plan, attribute) cell to ``ref``, via plain loops."""
     n, m, _ = y.shape
     d = np.empty((n, m))
     for i in range(n):
         for j in range(m):
             d[i, j] = math.dist(y[i, j], ref[j])
+    return d
+
+
+def loop_incidence_grid(y: np.ndarray, ref: np.ndarray, rho: float) -> np.ndarray:
+    """Deng incidence coefficients against ``ref``, min/max over the grid."""
+    d = loop_distance_grid(y, ref)
     dmin, dmax = d.min(), d.max()
     if dmax <= 0:
         return np.ones((n, m))

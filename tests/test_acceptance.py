@@ -15,22 +15,25 @@ import numpy as np
 import pytest
 
 from greyrank import (
+    AttributeSpec,
     BordaConfig,
     MethodScores,
     load_fighter_problem,
-    max_entropy_weights,
-    membership_degrees,
-    optimization_weights,
-    optimization_weights_unit,
+    parse_problem_dict,
     run_pipeline,
-    weighted_borda,
 )
 from greyrank._kernels import warmup
+from greyrank.aggregate import weighted_borda
 from greyrank.cli import main
-from greyrank.normalize import AttributeSpec, normalize_column
-from greyrank.values import IntervalCell, LinguisticCell, LinguisticTerm, UncertainCell
-from greyrank.evaluate import MethodParams, ideal_vectors, incidence_coefficients, incidence_degrees, score_all_methods
-from greyrank.problem import parse_problem_dict
+from greyrank.evaluate import (
+    ideal_vectors,
+    incidence_coefficients,
+    incidence_degrees,
+    max_entropy_weights,
+    membership_degrees,
+)
+from greyrank.normalize import normalize_matrix
+from greyrank.weights import deviation_totals, optimization_weights
 
 from oracles import (
     brute_deviation_coefficients,
@@ -131,7 +134,8 @@ def test_c3_deviation_weights_against_projected_ascent():
         c = brute_deviation_coefficients(x)
         if c.sum() <= 0:
             continue
-        closed = optimization_weights_unit(x)
+        totals = deviation_totals(x)
+        closed = totals / np.linalg.norm(totals)
         ascent = projected_ascent_beta(x, rng=rng)
         gap = abs(float(c @ closed) - float(c @ ascent))
         scale = max(1.0, float(c @ closed))
@@ -232,19 +236,17 @@ def test_c6_generated_invariants():
         spec = AttributeSpec("A", kind, direction)
         if kind == "interval":
             los = rng.uniform(0.1, 10.0, size=n)
-            cells = [IntervalCell(lo, lo + float(rng.uniform(0, 5))) for lo in los]
+            bounds = [(lo, lo + float(rng.uniform(0, 5))) for lo in los]
         elif kind == "linguistic":
-            cells = [LinguisticCell(LinguisticTerm(int(rng.integers(-4, 5)))) for _ in range(n)]
+            bounds = [(k, k) for k in (int(rng.integers(-4, 5)) for _ in range(n))]
         else:
-            pairs = np.sort(rng.integers(-4, 5, size=(n, 2)), axis=1)
-            cells = [UncertainCell(LinguisticTerm(int(a)), LinguisticTerm(int(b)))
-                     for a, b in pairs]
-        col = np.array([v.as_tuple() for v in normalize_column(cells, spec)])
+            bounds = np.sort(rng.integers(-4, 5, size=(n, 2)), axis=1)
+        raw = np.array(bounds, dtype=np.float64)[:, None, :]
+        col = normalize_matrix(raw, [spec])[:, 0]
         assert (np.diff(col, axis=1) >= -1e-12).all()
         if kind == "interval":
             lam = float(rng.uniform(0.1, 50.0))
-            scaled_cells = [IntervalCell(c.lo * lam, c.hi * lam) for c in cells]
-            scaled = np.array([v.as_tuple() for v in normalize_column(scaled_cells, spec)])
+            scaled = normalize_matrix(raw * lam, [spec])[:, 0]
             np.testing.assert_allclose(scaled, col, rtol=1e-9, atol=1e-12)
         cases += 1
 

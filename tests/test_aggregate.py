@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyrank import (
-    BordaConfig,
-    MethodScores,
-    ValidationError,
-    scores_to_ranks,
-    weighted_borda,
-)
+from greyrank import BordaConfig, MethodScores, ValidationError
+from greyrank.aggregate import scores_to_ranks, weighted_borda
 
 from oracles import loop_competition_ranks
 
@@ -40,6 +35,9 @@ def test_borda_config_validation():
         BordaConfig(method_weights=(0.5, 0.5, 0.5, 0.5))
     with pytest.raises(ValidationError):
         BordaConfig(method_weights=(1.5, -0.5, 0.0, 0.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            BordaConfig(method_weights=(bad, 0.5, 0.25, 0.25))
     with pytest.raises(ValidationError):
         BordaConfig(tie_break="coin-flip")
 

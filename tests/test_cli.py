@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from greyrank import load_fighter_problem
 from greyrank.cli import main
 
 from test_problem_io import MINIMAL
@@ -95,6 +96,10 @@ def test_borda_weights_flag(toy_file, capsysbinary):
     rc, _, err = run(capsysbinary, "solve", toy_file, "--borda-weights", "0.5,0.5")
     assert rc == 2
     assert b"borda-weights" in err
+    # NaN passes a sum check (abs(nan - 1) > tol is False); it must still fail
+    rc, out, err = run(capsysbinary, "solve", toy_file, "--borda-weights", "nan,0.5,0.25,0.25")
+    assert rc == 2 and out == b""
+    assert b"finite" in err
 
 
 def test_validation_errors_exit_2(tmp_path, capsysbinary):
@@ -126,6 +131,19 @@ def test_degenerate_problem_exits_3(tmp_path, capsysbinary):
     assert rc == 3
     assert b"degenerate" in err.lower()
     assert b"normalize" in err  # failing stage is named
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_normalized_value_is_located(tmp_path, capsysbinary):
+    # 1 / 5e-324 overflows, so the cost column normalizes to NaN and inf
+    data = load_fighter_problem().payload
+    data["matrix"][2][0] = 5e-324
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 2 and out == b""
+    assert b"stage normalize: attribute 'A1', row 2:" in err
+    assert b"not finite" in err
 
 
 def test_identical_plans_still_rank(tmp_path, capsysbinary):

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyrank import (
-    IntervalGreyNumber,
-    MethodParams,
-    ValidationError,
+from greyrank import IntervalGreyNumber, MethodParams, ValidationError
+from greyrank.evaluate import (
     apply_weights,
     approach_with_preference,
     blend_preference,

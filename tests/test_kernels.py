@@ -13,7 +13,7 @@ from greyrank._kernels import (
     warmup,
 )
 
-from oracles import brute_deviation_coefficients, random_generalized_matrix
+from oracles import brute_deviation_coefficients, loop_distance_grid, random_generalized_matrix
 
 
 def test_warmup_runs():
@@ -21,12 +21,14 @@ def test_warmup_runs():
 
 
 def test_pairwise_deviation_paths_agree():
+    # each path against the loop oracle, so the test means the same with or
+    # without numba (without it the dispatcher is the numpy path)
     rng = np.random.default_rng(71)
     for n, m in [(1, 1), (2, 3), (7, 5), (300, 2)]:
         x = random_generalized_matrix(rng, n, m, scale=10.0)
-        a = pairwise_deviation_sums(x)
-        b = pairwise_deviation_sums_numpy(x)
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
+        expected = brute_deviation_coefficients(x)
+        for path in (pairwise_deviation_sums, pairwise_deviation_sums_numpy):
+            np.testing.assert_allclose(path(x), expected, rtol=1e-10, atol=1e-10)
 
 
 def test_pairwise_deviation_matches_brute_force():
@@ -49,9 +51,9 @@ def test_distance_grid_paths_agree():
     rng = np.random.default_rng(74)
     y = random_generalized_matrix(rng, 8, 5)
     ref = y.max(axis=0)
-    np.testing.assert_allclose(
-        distance_grid(y, ref), distance_grid_numpy(y, ref), rtol=1e-12
-    )
+    expected = loop_distance_grid(y, ref)
+    for path in (distance_grid, distance_grid_numpy):
+        np.testing.assert_allclose(path(y, ref), expected, rtol=1e-12)
 
 
 def test_env_flag_disables_numba():

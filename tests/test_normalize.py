@@ -3,25 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyrank import (
-    AttributeSpec,
-    DegenerateProblemError,
-    IntervalCell,
-    LinguisticCell,
-    LinguisticTerm,
-    RealCell,
-    UncertainCell,
-    ValidationError,
-    normalize_column,
-    normalize_matrix,
-)
+from greyrank import AttributeSpec, DegenerateProblemError, ValidationError
+from greyrank.normalize import normalize_matrix
 
 BEN = AttributeSpec("B", "interval", "benefit")
 COST = AttributeSpec("C", "interval", "cost")
 
 
-def tuples(column):
-    return [v.as_tuple() for v in column]
+def column(bounds, spec):
+    """Normalize one column given as (lo, hi) bounds per plan; shape (n, 4)."""
+    raw = np.array(bounds, dtype=np.float64).reshape(-1, 1, 2)
+    return normalize_matrix(raw, [spec])[:, 0]
 
 
 def test_attribute_spec_validation():
@@ -33,187 +25,144 @@ def test_attribute_spec_validation():
 
 def test_benefit_interval_hand_case():
     # columns [1,2] and [3,4]: sum(lo)=4, sum(hi)=6
-    col = normalize_column([IntervalCell(1, 2), IntervalCell(3, 4)], BEN)
-    np.testing.assert_allclose(
-        tuples(col), [(1 / 6, 1 / 6, 1 / 2, 1 / 2), (1 / 2, 1 / 2, 1.0, 1.0)]
-    )
+    col = column([(1, 2), (3, 4)], BEN)
+    np.testing.assert_allclose(col, [(1 / 6, 1 / 6, 1 / 2, 1 / 2), (1 / 2, 1 / 2, 1.0, 1.0)])
 
 
 def test_cost_interval_hand_case():
     # columns [1,2] and [2,4]: sum(1/lo)=1.5, sum(1/hi)=0.75
-    col = normalize_column([IntervalCell(1, 2), IntervalCell(2, 4)], COST)
-    np.testing.assert_allclose(
-        tuples(col), [(1 / 3, 1 / 3, 4 / 3, 4 / 3), (1 / 6, 1 / 6, 2 / 3, 2 / 3)]
-    )
+    col = column([(1, 2), (2, 4)], COST)
+    np.testing.assert_allclose(col, [(1 / 3, 1 / 3, 4 / 3, 4 / 3), (1 / 6, 1 / 6, 2 / 3, 2 / 3)])
 
 
 def test_single_plan_benefit_interval_hits_one():
-    col = normalize_column([IntervalCell(5, 5)], BEN)
-    np.testing.assert_allclose(tuples(col), [(1.0, 1.0, 1.0, 1.0)])
+    np.testing.assert_allclose(column([(5, 5)], BEN), [(1.0, 1.0, 1.0, 1.0)])
 
 
 def test_reals_are_degenerate_intervals():
-    spec = AttributeSpec("R", "real", "benefit")
-    col = normalize_column([RealCell(1), RealCell(3)], spec)
-    np.testing.assert_allclose(tuples(col), [(0.25, 0.25, 0.25, 0.25), (0.75, 0.75, 0.75, 0.75)])
+    col = column([(1, 1), (3, 3)], AttributeSpec("R", "real", "benefit"))
+    np.testing.assert_allclose(col, [(0.25, 0.25, 0.25, 0.25), (0.75, 0.75, 0.75, 0.75)])
 
 
 def test_linguistic_benefit_hand_case():
-    spec = AttributeSpec("L", "linguistic", "benefit")
-    col = normalize_column(
-        [LinguisticCell(LinguisticTerm.from_label("high")),
-         LinguisticCell(LinguisticTerm.from_label("low"))],
-        spec,
-    )
-    # triangles (.7,.8,.9) and (.1,.2,.3), midpoint sum 1.0
-    np.testing.assert_allclose(tuples(col), [(0.7, 0.8, 0.8, 0.9), (0.1, 0.2, 0.2, 0.3)])
+    # 'high' and 'low': triangles (.7,.8,.9) and (.1,.2,.3), midpoint sum 1.0
+    col = column([(3, 3), (-3, -3)], AttributeSpec("L", "linguistic", "benefit"))
+    np.testing.assert_allclose(col, [(0.7, 0.8, 0.8, 0.9), (0.1, 0.2, 0.2, 0.3)])
 
 
 def test_linguistic_cost_mirrors_scale():
-    spec = AttributeSpec("L", "linguistic", "cost")
-    col = normalize_column(
-        [LinguisticCell(LinguisticTerm.from_label("high")),
-         LinguisticCell(LinguisticTerm.from_label("low"))],
-        spec,
-    )
     # cost 'high' behaves like benefit 'low' and vice versa
-    np.testing.assert_allclose(tuples(col), [(0.1, 0.2, 0.2, 0.3), (0.7, 0.8, 0.8, 0.9)])
+    col = column([(3, 3), (-3, -3)], AttributeSpec("L", "linguistic", "cost"))
+    np.testing.assert_allclose(col, [(0.1, 0.2, 0.2, 0.3), (0.7, 0.8, 0.8, 0.9)])
 
 
 def test_uncertain_benefit_hand_case():
-    spec = AttributeSpec("U", "uncertain-linguistic", "benefit")
-    col = normalize_column(
-        [UncertainCell(LinguisticTerm.from_label("a little high"),
-                       LinguisticTerm.from_label("comparatively high"))],
-        spec,
-    )
-    # trapezoid (.5,.6,.7,.8); sums: a*=0.6, a**=0.7
-    np.testing.assert_allclose(
-        tuples(col), [(0.5 / 0.6, 1.0, 1.0, 0.8 / 0.7)]
-    )
+    # [a little high, comparatively high]: trapezoid (.5,.6,.7,.8); sums a*=0.6, a**=0.7
+    col = column([(1, 2)], AttributeSpec("U", "uncertain-linguistic", "benefit"))
+    np.testing.assert_allclose(col, [(0.5 / 0.6, 1.0, 1.0, 0.8 / 0.7)])
 
 
 def test_uncertain_cost_complements_and_swaps():
-    spec = AttributeSpec("U", "uncertain-linguistic", "cost")
-    col = normalize_column(
-        [UncertainCell(LinguisticTerm.from_label("low"),
-                       LinguisticTerm.from_label("a little low"))],
-        spec,
-    )
-    # mirrored range is [a little high, high] -> trapezoid (.5,.6,.8,.9)
-    np.testing.assert_allclose(tuples(col), [(0.5 / 0.6, 1.0, 1.0, 0.9 / 0.8)])
+    # [low, a little low] mirrors to [a little high, high] -> trapezoid (.5,.6,.8,.9)
+    col = column([(-3, -1)], AttributeSpec("U", "uncertain-linguistic", "cost"))
+    np.testing.assert_allclose(col, [(0.5 / 0.6, 1.0, 1.0, 0.9 / 0.8)])
 
 
 def test_cost_interval_requires_positive_values():
     with pytest.raises(ValidationError) as err:
-        normalize_column([IntervalCell(0, 2), IntervalCell(1, 4)], COST)
+        column([(0, 2), (1, 4)], COST)
     assert "'C'" in str(err.value)
 
 
 def test_benefit_interval_rejects_negative():
     with pytest.raises(ValidationError):
-        normalize_column([IntervalCell(-1, 2), IntervalCell(1, 4)], BEN)
+        column([(-1, 2), (1, 4)], BEN)
 
 
 def test_benefit_zero_column_is_degenerate():
     with pytest.raises(DegenerateProblemError):
-        normalize_column([IntervalCell(0, 0), IntervalCell(0, 0)], BEN)
+        column([(0, 0), (0, 0)], BEN)
 
 
 def test_kind_mismatch_is_located():
+    # a value that is no term index cannot sit in a linguistic column
     with pytest.raises(ValidationError) as err:
-        normalize_column([RealCell(1.0)], AttributeSpec("A7", "linguistic", "benefit"))
-    assert "A7" in str(err.value)
+        column([(3, 3), (3610.0, 3610.0)], AttributeSpec("A7", "linguistic", "benefit"))
+    assert "'A7', row 1" in str(err.value)
 
 
 def test_normalize_matrix_shape_and_order():
-    rows = [
-        [RealCell(1), IntervalCell(1, 2)],
-        [RealCell(3), IntervalCell(3, 4)],
-    ]
+    raw = np.array([[(1, 1), (1, 2)], [(3, 3), (3, 4)]], dtype=np.float64)
     specs = [AttributeSpec("R", "real", "benefit"), BEN]
-    x = normalize_matrix(rows, specs)
+    x = normalize_matrix(raw, specs)
     assert x.shape == (2, 2, 4)
     assert (np.diff(x, axis=2) >= 0).all()
     with pytest.raises(ValidationError):
-        normalize_matrix([rows[0], rows[1][:1]], specs)
+        normalize_matrix(raw[:, :1], specs)
+    with pytest.raises(ValidationError):
+        normalize_matrix(raw[:0], specs)
 
 
-interval_cells = st.builds(
-    lambda lo, width: IntervalCell(lo, lo + width),
+interval_bounds = st.builds(
+    lambda lo, width: (lo, lo + width),
     st.floats(min_value=0.01, max_value=1e4),
     st.floats(min_value=0.0, max_value=1e4),
 )
 
 
 @settings(max_examples=60)
-@given(st.lists(interval_cells, min_size=1, max_size=8), st.sampled_from(["benefit", "cost"]))
-def test_interval_normalization_is_ordered(cells, direction):
-    col = normalize_column(cells, AttributeSpec("P", "interval", direction))
-    for value in col:
-        t = value.as_tuple()
-        assert t[0] <= t[1] <= t[2] <= t[3]
-        assert t[0] > 0
+@given(st.lists(interval_bounds, min_size=1, max_size=8), st.sampled_from(["benefit", "cost"]))
+def test_interval_normalization_is_ordered(bounds, direction):
+    col = column(bounds, AttributeSpec("P", "interval", direction))
+    assert (np.diff(col, axis=1) >= 0).all()
+    assert (col[:, 0] > 0).all()
 
 
 @settings(max_examples=60)
 @given(
-    st.lists(interval_cells, min_size=2, max_size=6),
+    st.lists(interval_bounds, min_size=2, max_size=6),
     st.floats(min_value=0.01, max_value=100.0),
     st.sampled_from(["benefit", "cost"]),
 )
-def test_interval_normalization_scale_invariant(cells, lam, direction):
+def test_interval_normalization_scale_invariant(bounds, lam, direction):
     spec = AttributeSpec("P", "interval", direction)
-    base = np.array([v.as_tuple() for v in normalize_column(cells, spec)])
-    scaled_cells = [IntervalCell(c.lo * lam, c.hi * lam) for c in cells]
-    scaled = np.array([v.as_tuple() for v in normalize_column(scaled_cells, spec)])
+    base = column(bounds, spec)
+    scaled = column([(lo * lam, hi * lam) for lo, hi in bounds], spec)
     np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
 
 
-term_st = st.integers(min_value=-5, max_value=5).map(LinguisticTerm)
+terms = st.integers(min_value=-5, max_value=5)
 
 
 @settings(max_examples=60)
-@given(
-    st.lists(st.builds(LinguisticCell, term_st), min_size=1, max_size=8),
-    st.sampled_from(["benefit", "cost"]),
-)
-def test_linguistic_normalization_is_ordered(cells, direction):
+@given(st.lists(terms, min_size=1, max_size=8), st.sampled_from(["benefit", "cost"]))
+def test_linguistic_normalization_is_ordered(indices, direction):
     try:
-        col = normalize_column(cells, AttributeSpec("P", "linguistic", direction))
+        col = column([(k, k) for k in indices], AttributeSpec("P", "linguistic", direction))
     except DegenerateProblemError:
         # only legal when every effective midpoint is zero (all terms at the
         # extreme end of the scale)
         sign = -5 if direction == "benefit" else 5
-        assert all(c.term.index == sign for c in cells)
+        assert all(k == sign for k in indices)
         return
-    for value in col:
-        t = value.as_tuple()
-        assert t[0] <= t[1] <= t[2] <= t[3]
+    assert (np.diff(col, axis=1) >= 0).all()
 
 
 @st.composite
-def uncertain_cells(draw):
-    a = draw(st.integers(min_value=-5, max_value=5))
-    b = draw(st.integers(min_value=a, max_value=5))
-    return UncertainCell(LinguisticTerm(a), LinguisticTerm(b))
+def uncertain_bounds(draw):
+    a = draw(terms)
+    return a, draw(st.integers(min_value=a, max_value=5))
 
 
 @settings(max_examples=60)
-@given(st.lists(uncertain_cells(), min_size=1, max_size=8), st.sampled_from(["benefit", "cost"]))
-def test_uncertain_normalization_is_ordered(cells, direction):
+@given(st.lists(uncertain_bounds(), min_size=1, max_size=8), st.sampled_from(["benefit", "cost"]))
+def test_uncertain_normalization_is_ordered(pairs, direction):
     try:
-        col = normalize_column(cells, AttributeSpec("P", "uncertain-linguistic", direction))
+        col = column(pairs, AttributeSpec("P", "uncertain-linguistic", direction))
     except DegenerateProblemError:
         if direction == "benefit":
-            assert all(c.lower.index == -5 for c in cells) or all(
-                c.upper.index == -5 for c in cells
-            )
+            assert all(a == -5 for a, _ in pairs) or all(b == -5 for _, b in pairs)
         else:
-            assert all(c.upper.index == 5 for c in cells) or all(
-                c.lower.index == 5 for c in cells
-            )
+            assert all(b == 5 for _, b in pairs) or all(a == 5 for a, _ in pairs)
         return
-    for value in col:
-        t = value.as_tuple()
-        assert t[0] <= t[1] <= t[2] <= t[3]
+    assert (np.diff(col, axis=1) >= 0).all()

@@ -117,6 +117,21 @@ def test_unknown_term_is_located_and_lists_accepted():
     assert "a little high" in message  # accepted spellings are listed
 
 
+@pytest.mark.parametrize(
+    "attribute, cell",
+    [(0, "NaN"), (0, '{"real": Infinity}'), (1, '{"interval": [1, Infinity]}'),
+     (1, '{"interval": [NaN, 2]}'), (0, "1" + "0" * 400)],
+    ids=["real-nan", "real-inf", "interval-inf", "interval-nan", "real-huge-integer"],
+)
+def test_non_finite_cells_name_plan_and_attribute(attribute, cell):
+    # json.loads accepts NaN, Infinity and integers beyond float range; the parser must not
+    data = toy()
+    data["matrix"][1][attribute] = json.loads(cell)
+    with pytest.raises(ValidationError, match="non-finite") as err:
+        parse_problem_dict(data)
+    assert "'P2'" in str(err.value) and f"'A{attribute + 1}'" in str(err.value)
+
+
 def test_cell_kind_mismatch_rejected():
     data = toy()
     data["matrix"][0][0] = {"ling": "high"}
@@ -139,7 +154,7 @@ def test_custom_alias_applies_to_cells():
     data = toy(linguistic_aliases={"so-so": "general"})
     data["matrix"][0][2] = {"ling": "SO-SO"}
     p = parse_problem_dict(data)
-    assert p.cells[0][2].term.label == "general"
+    assert p.raw[0, 2].tolist() == [0.0, 0.0]  # 'general' is term index 0
 
 
 def test_alias_target_must_resolve():

@@ -3,15 +3,8 @@ import json
 
 import pytest
 
-from greyrank import (
-    ValidationError,
-    emit_report,
-    parse_problem_dict,
-    render_csv,
-    render_json,
-    render_text,
-    run_pipeline,
-)
+from greyrank import ValidationError, emit_report, parse_problem_dict, run_pipeline
+from greyrank.report import render_csv, render_json, render_text
 
 from test_problem_io import MINIMAL
 

@@ -7,14 +7,16 @@ from greyrank import (
     DegenerateProblemError,
     IntervalGreyNumber,
     ValidationError,
+    load_fighter_problem,
+    run_pipeline,
+)
+from greyrank.weights import (
     comprehensive_objective,
-    compute_weight_bundle,
     deviation_totals,
     entropy_weight_table,
     entropy_weights,
     final_weights,
     optimization_weights,
-    optimization_weights_unit,
     subjective_interval_weights,
 )
 
@@ -44,7 +46,8 @@ def test_deviation_totals_match_brute_force():
 def test_optimization_weights_normalizations():
     rng = np.random.default_rng(11)
     x = random_generalized_matrix(rng, 4, 3)
-    unit = optimization_weights_unit(x)
+    totals = deviation_totals(x)
+    unit = totals / np.linalg.norm(totals)
     summed = optimization_weights(x)
     assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-12)
     assert summed.sum() == pytest.approx(1.0, abs=1e-12)
@@ -57,8 +60,6 @@ def test_optimization_weights_degenerate_on_identical_plans():
     x = np.tile(np.array([0.1, 0.2, 0.3, 0.4]), (3, 2, 1))
     with pytest.raises(DegenerateProblemError):
         optimization_weights(x)
-    with pytest.raises(DegenerateProblemError):
-        optimization_weights_unit(x)
 
 
 def test_entropy_weights_hand_case():
@@ -164,15 +165,13 @@ def test_final_weights_degenerate_zero_denominator():
         final_weights(alpha, beta)
 
 
-def test_compute_weight_bundle_shapes():
-    rng = np.random.default_rng(9)
-    x = random_generalized_matrix(rng, 4, 5)
-    alpha = [IntervalGreyNumber(0.1, 0.3) for _ in range(5)]
-    bundle = compute_weight_bundle(x, alpha)
-    assert bundle.beta_opt.shape == (5,)
-    assert bundle.beta_ent.shape == (4, 5)
-    assert len(bundle.beta_interval) == 5
-    assert len(bundle.w_final) == 5
+def test_pipeline_weight_bundle_shapes():
+    bundle = run_pipeline(load_fighter_problem()).weights
+    assert bundle.beta_opt.shape == (9,)
+    assert bundle.beta_ent.shape == (4, 9)
+    assert len(bundle.alpha) == 9
+    assert len(bundle.beta_interval) == 9
+    assert len(bundle.w_final) == 9
     for g in bundle.w_final:
         assert 0 <= g.lo <= g.hi
     # beta_opt and every entropy row lie inside the comprehensive envelope
