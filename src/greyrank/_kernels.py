@@ -1,121 +1,49 @@
-"""Numeric kernels, numba-compiled when available.
+"""Numeric kernels: 4-D Euclidean distances between normalized 4-tuples.
 
 The pairwise-deviation kernel is quadratic in the number of plans and
 dominates runtime on large problems; the distance grid is the inner loop of
-every scoring method. Both carry an ``@njit`` implementation and a pure-numpy
-fallback. Set ``GREYRANK_NO_NUMBA=1`` (or leave numba uninstalled) to force
-the numpy path; ``benchmarks/bench_kernels.py`` compares the two.
+every scoring method. Both are plain numpy. ``perfbench/run.py --trace 1``
+times each one per solve (``kernels.*_ms``).
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-__all__ = [
-    "distance_grid",
-    "distance_grid_numpy",
-    "pairwise_deviation_sums",
-    "pairwise_deviation_sums_numpy",
-    "using_numba",
-    "warmup",
-]
+__all__ = ["distance_grid", "pairwise_deviation_sums", "using_numba"]
 
-_DISABLED = os.environ.get("GREYRANK_NO_NUMBA", "").strip().lower() not in ("", "0", "false")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
+_BLOCK = 256  # plans per slab: peak memory O(_BLOCK * n) per attribute
 
 
 def using_numba() -> bool:
-    """True when the jit kernels are active (numba importable, flag unset)."""
-    return _HAVE_NUMBA
+    """Always False: the kernels have one numpy path and no jit variant.
+
+    Kept because ``perfbench/child.py`` records the kernel path of every
+    benchmark run under ``"numba"`` with this call.
+    """
+    return False
 
 
-def pairwise_deviation_sums_numpy(x: np.ndarray, block: int = 256) -> np.ndarray:
+def pairwise_deviation_sums(x: np.ndarray) -> np.ndarray:
     """Sum of 4-D distances over all ordered plan pairs, per attribute.
 
-    ``x`` has shape (n, m, 4); the result has shape (m,). Work is blocked over
-    plans to keep peak memory at O(block * n) per attribute.
+    ``x`` is a float array of shape (n, m, 4); the result has shape (m,).
     """
     n, m, _ = x.shape
     out = np.zeros(m)
     for j in range(m):
         col = x[:, j, :]
-        for start in range(0, n, block):
-            blk = col[start:start + block]
-            diff = blk[:, None, :] - col[None, :, :]
+        for start in range(0, n, _BLOCK):
+            diff = col[start:start + _BLOCK, None, :] - col[None, :, :]
             out[j] += np.sqrt((diff * diff).sum(axis=-1)).sum()
     return out
 
 
-def distance_grid_numpy(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
+def distance_grid(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """4-D distance from every (plan, attribute) cell to a reference vector.
 
-    ``y`` has shape (n, m, 4), ``ref`` shape (m, 4); result shape (n, m).
+    ``y`` is a float array of shape (n, m, 4), ``ref`` of shape (m, 4); the
+    result has shape (n, m).
     """
     diff = y - ref[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pairwise_deviation_sums_jit(x):  # pragma: no cover - exercised via dispatcher
-        n, m, _ = x.shape
-        out = np.zeros(m)
-        for j in range(m):
-            total = 0.0
-            for i in range(n):
-                for k in range(i + 1, n):
-                    s = 0.0
-                    for c in range(4):
-                        t = x[i, j, c] - x[k, j, c]
-                        s += t * t
-                    total += math.sqrt(s)
-            out[j] = 2.0 * total
-        return out
-
-    @njit(cache=True)
-    def _distance_grid_jit(y, ref):  # pragma: no cover - exercised via dispatcher
-        n, m, _ = y.shape
-        out = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                s = 0.0
-                for c in range(4):
-                    t = y[i, j, c] - ref[j, c]
-                    s += t * t
-                out[i, j] = math.sqrt(s)
-        return out
-
-
-def pairwise_deviation_sums(x: np.ndarray) -> np.ndarray:
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _pairwise_deviation_sums_jit(x)
-    return pairwise_deviation_sums_numpy(x)
-
-
-def distance_grid(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    ref = np.ascontiguousarray(ref, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _distance_grid_jit(y, ref)
-    return distance_grid_numpy(y, ref)
-
-
-def warmup() -> None:
-    """Trigger jit compilation on tiny inputs so later calls are not charged."""
-    x = np.zeros((2, 1, 4))
-    pairwise_deviation_sums(x)
-    distance_grid(x, np.zeros((1, 4)))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -53,12 +53,11 @@ class BordaConfig:
 
 @dataclass
 class RankResult:
-    """Final ranking with the Borda scores and the per-method inputs."""
+    """Final ranking with the Borda and tie-break scores behind it."""
 
     final_ranks: np.ndarray
     borda_scores: np.ndarray
-    per_method: list
-    tiebreak_scores: np.ndarray = field(default=None)  # type: ignore[assignment]
+    tiebreak_scores: np.ndarray
 
     @property
     def order(self) -> np.ndarray:
@@ -103,13 +102,8 @@ def weighted_borda(
         tiebreak = _normalized_score_sums(per_method)
     else:
         tiebreak = np.zeros(n)
-    order = sorted(range(n), key=lambda i: (-borda[i], -tiebreak[i], i))
+    # lexsort reads its keys last to first: Borda points, tie-break, plan index
+    order = np.lexsort((np.arange(n), -tiebreak, -borda))
     final_ranks = np.empty(n, dtype=np.int64)
-    for pos, plan in enumerate(order):
-        final_ranks[plan] = pos + 1
-    return RankResult(
-        final_ranks=final_ranks,
-        borda_scores=borda,
-        per_method=list(per_method),
-        tiebreak_scores=tiebreak,
-    )
+    final_ranks[order] = np.arange(1, n + 1)
+    return RankResult(final_ranks=final_ranks, borda_scores=borda, tiebreak_scores=tiebreak)

@@ -15,13 +15,12 @@ which the method itself breaks down).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import DegenerateProblemError, ValidationError
 from .pipeline import run_pipeline
-from .problem import parse_problem_dict
+from .problem import _load_document, parse_problem_dict
 from .report import FORMATS, emit_report
 
 __all__ = ["main", "build_parser"]
@@ -76,7 +75,10 @@ def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
     """
     if not isinstance(data, dict):
         return data
-    params = dict(data.get("params") or {})
+    params = data.get("params")
+    if params is not None and not isinstance(params, dict):
+        return data  # parse_problem_dict rejects it: "params must be an object"
+    params = dict(params or {})
     if args.rho is not None:
         params["rho"] = args.rho
     if args.theta_plus is not None:
@@ -90,26 +92,14 @@ def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
     return data
 
 
-def _load_document(path: Path) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read problem file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
-        # A json-report was produced by us; solve its embedded problem.
-        data = data["problem"]
-    return data
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         data = _load_document(Path(args.file))
+        if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
+            # A json-report was produced by us; solve its embedded problem.
+            data = data["problem"]
         data = _apply_overrides(data, args)
         problem = parse_problem_dict(data, source=args.file)
         report = run_pipeline(problem)

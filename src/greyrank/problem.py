@@ -193,8 +193,9 @@ def _parse_aliases(data) -> dict[str, str]:
     return aliases
 
 
-def _parse_subjective(data, m: int) -> tuple[list[IntervalGreyNumber], str]:
+def _parse_subjective(data, ids: list[str]) -> tuple[list[IntervalGreyNumber], str]:
     _require(isinstance(data, dict), "subjective_weights must be an object")
+    m = len(ids)
     keys = set(data)
     if keys == {"experts"}:
         vectors = data["experts"]
@@ -202,12 +203,23 @@ def _parse_subjective(data, m: int) -> tuple[list[IntervalGreyNumber], str]:
             isinstance(vectors, list) and len(vectors) >= 1,
             "subjective_weights.experts must be a nonempty list of weight vectors",
         )
+        rows = []
         for i, vec in enumerate(vectors):
             _require(
                 isinstance(vec, list) and len(vec) == m,
                 f"expert vector {i} must list {m} weights",
             )
-        return subjective_interval_weights(vectors), "experts"
+            row = []
+            for attr_id, value in zip(ids, vec):
+                where = f"expert {i}, attribute {attr_id!r}"
+                w = _as_number(value, where)
+                _require(
+                    math.isfinite(w) and w >= 0,
+                    f"{where}: weight must be finite and nonnegative, got {w}",
+                )
+                row.append(w)
+            rows.append(row)
+        return subjective_interval_weights(rows), "experts"
     if keys == {"intervals"}:
         intervals = data["intervals"]
         _require(
@@ -235,13 +247,11 @@ def _parse_subjective(data, m: int) -> tuple[list[IntervalGreyNumber], str]:
     )
 
 
-def _parse_params(data, overrides: dict | None = None) -> tuple[MethodParams, BordaConfig]:
-    params = dict(data or {})
+def _parse_params(params) -> tuple[MethodParams, BordaConfig]:
+    params = {} if params is None else params
     _require(isinstance(params, dict), "params must be an object")
     unknown = set(params) - _PARAM_KEYS
     _require(not unknown, f"unknown params keys: {sorted(unknown)}")
-    if overrides:
-        params.update({k: v for k, v in overrides.items() if v is not None})
     rho = _as_number(params.get("rho", 0.5), "params.rho")
     theta_plus = _as_number(params.get("theta_plus", 0.5), "params.theta_plus")
     theta_minus = _as_number(params.get("theta_minus", 1.0 - theta_plus), "params.theta_minus")
@@ -296,6 +306,9 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         )
         extra = set(entry) - {"id", "kind", "direction"}
         _require(not extra, f"attribute {j}: unknown keys {sorted(extra)}")
+        _require(
+            isinstance(entry["id"], str), f"attribute {j}: id must be a string, got {entry['id']!r}"
+        )
         attributes.append(AttributeSpec(entry["id"], entry["kind"], entry["direction"]))
     ids = [a.id for a in attributes]
     _require(len(set(ids)) == len(ids), "attribute ids must be unique")
@@ -319,7 +332,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
             bounds.extend(_parse_cell(cell, attributes[j].kind, aliases, where))
 
     _require("subjective_weights" in data, "subjective_weights is required")
-    subjective, subjective_source = _parse_subjective(data["subjective_weights"], m)
+    subjective, subjective_source = _parse_subjective(data["subjective_weights"], ids)
 
     prefs_raw = data.get("preferences")
     _require(
@@ -352,15 +365,19 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     )
 
 
-def parse_problem(path: str | Path) -> DecisionProblem:
-    """Load and validate a problem file."""
-    path = Path(path)
+def _load_document(path: Path):
+    """Read a JSON file; unreadable files and invalid JSON raise ValidationError."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read problem file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_problem_dict(data, source=str(path))
+
+
+def parse_problem(path: str | Path) -> DecisionProblem:
+    """Load and validate a problem file."""
+    path = Path(path)
+    return parse_problem_dict(_load_document(path), source=str(path))

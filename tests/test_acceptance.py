@@ -22,7 +22,6 @@ from greyrank import (
     parse_problem_dict,
     run_pipeline,
 )
-from greyrank._kernels import warmup
 from greyrank.aggregate import weighted_borda
 from greyrank.cli import main
 from greyrank.evaluate import (
@@ -72,7 +71,6 @@ def _method_order(report, ms) -> list[str]:
 
 
 def test_c1_reference_rank_reproduction():
-    warmup()  # jit compilation happens outside the timed window
     problem = load_fighter_problem()
     t0 = perf_counter()
     report = run_pipeline(problem)

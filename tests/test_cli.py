@@ -119,6 +119,18 @@ def test_validation_errors_exit_2(tmp_path, capsysbinary):
     assert rc == 2
 
 
+@pytest.mark.parametrize("params", [[1, 2], "ab", 5], ids=["list", "string", "number"])
+@pytest.mark.parametrize("flags", [[], ["--rho", "0.4"]], ids=["no-flags", "rho-flag"])
+def test_non_object_params_exit_2(tmp_path, capsysbinary, params, flags):
+    data = copy.deepcopy(MINIMAL)
+    data["params"] = params
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path, *flags)
+    assert rc == 2 and out == b""
+    assert b"params must be an object" in err
+
+
 def test_degenerate_problem_exits_3(tmp_path, capsysbinary):
     data = copy.deepcopy(MINIMAL)
     # a benefit interval column of zeros: normalization cannot scale it

@@ -176,6 +176,25 @@ def test_subjective_weights_variants():
         parse_problem_dict(data)
 
 
+@pytest.mark.parametrize(
+    "weight",
+    ["a", [1], 10**400, "0.5", True, None, float("nan"), -0.1],
+    ids=["string", "list", "huge-integer", "numeric-string", "bool", "null", "nan", "negative"],
+)
+def test_bad_expert_weight_names_expert_and_attribute(weight):
+    data = toy()
+    data["subjective_weights"]["experts"][1][2] = weight
+    with pytest.raises(ValidationError, match="expert 1, attribute 'A3'"):
+        parse_problem_dict(data)
+
+
+def test_attribute_id_must_be_a_string():
+    data = toy()
+    data["attributes"][1]["id"] = ["x"]
+    with pytest.raises(ValidationError, match="attribute 1: id must be a string"):
+        parse_problem_dict(data)
+
+
 def test_preferences_validated():
     with pytest.raises(ValidationError, match="'P2'"):
         parse_problem_dict(toy(preferences=[[0.2, 0.3, 0.4, 0.5], [0.4, 0.2, 0.3, 0.5]]))
