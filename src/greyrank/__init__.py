@@ -20,7 +20,6 @@ from .normalize import AttributeSpec
 from .pipeline import Report, run_pipeline
 from .problem import DecisionProblem, parse_problem, parse_problem_dict
 from .report import emit_report
-from .values import IntervalGreyNumber
 from .weights import WeightBundle
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ __all__ = [
     "DegenerateProblemError",
     "GreyrankError",
     "IdealVectors",
-    "IntervalGreyNumber",
     "MethodParams",
     "MethodScores",
     "RankResult",

@@ -116,19 +116,16 @@ def blend_preference(x: np.ndarray, preferences: np.ndarray) -> np.ndarray:
     return 0.5 * (q[:, None, :] + x)
 
 
-def apply_weights(z: np.ndarray, w_final) -> np.ndarray:
+def apply_weights(z: np.ndarray, w_final: np.ndarray) -> np.ndarray:
     """Scale the lower pair of each tuple by the weight's lower bound and the
-    upper pair by its upper bound."""
+    upper pair by its upper bound; ``w_final`` holds (m, 2) (lo, hi) rows."""
     z = _check_matrix(z)
     if (z < 0).any():
         raise ValidationError("weighted scaling requires a nonnegative matrix")
-    lo = np.array([w.lo for w in w_final])
-    hi = np.array([w.hi for w in w_final])
-    if lo.shape[0] != z.shape[1]:
-        raise ValidationError(
-            f"{lo.shape[0]} weights for {z.shape[1]} attributes"
-        )
-    scale = np.stack([lo, lo, hi, hi], axis=1)  # (m, 4)
+    w = np.asarray(w_final, dtype=np.float64)
+    if w.shape != (z.shape[1], 2):
+        raise ValidationError(f"expected ({z.shape[1]}, 2) interval weights, got shape {w.shape}")
+    scale = w[:, [0, 0, 1, 1]]  # (m, 4)
     return z * scale[None, :, :]
 
 

@@ -95,11 +95,11 @@ class Report:
             "notes": list(self.notes),
             "normalized": self.normalized.tolist(),
             "weights": {
-                "alpha": [[g.lo, g.hi] for g in self.weights.alpha],
+                "alpha": self.weights.alpha.tolist(),
                 "beta_opt": self.weights.beta_opt.tolist(),
                 "beta_ent": self.weights.beta_ent.tolist(),
-                "beta_interval": [[g.lo, g.hi] for g in self.weights.beta_interval],
-                "final": [[g.lo, g.hi] for g in self.weights.w_final],
+                "beta_interval": self.weights.beta_interval.tolist(),
+                "final": self.weights.w_final.tolist(),
             },
             "weighted": self.weighted.tolist(),
             "ideal_vectors": {
@@ -155,7 +155,7 @@ def run_pipeline(problem: DecisionProblem) -> Report:
         beta_interval = comprehensive_objective(beta_opt, beta_ent)
         w_final = final_weights(problem.subjective, beta_interval)
         bundle = WeightBundle(
-            alpha=list(problem.subjective),
+            alpha=problem.subjective,
             beta_opt=beta_opt,
             beta_ent=beta_ent,
             beta_interval=beta_interval,
@@ -187,5 +187,5 @@ def run_pipeline(problem: DecisionProblem) -> Report:
         incidence=incidence,
         result=result,
         notes=notes,
-        problem_payload=dict(problem.payload),
+        problem_payload=problem.payload,
     )

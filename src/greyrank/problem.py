@@ -12,8 +12,8 @@ Problem files are JSON documents with ``"schema": 1``:
 * ``subjective_weights`` — either ``{"experts": [[...], ...]}`` (one weight
   vector per expert, enveloped coordinatewise) or
   ``{"intervals": [[lo, hi], ...]}`` giving the envelope directly.
-* ``preferences`` — one ascending 4-tuple per plan, the decision maker's
-  prior preference for that plan.
+* ``preferences`` — one ascending, nonnegative 4-tuple per plan, the
+  decision maker's prior preference for that plan.
 * ``params`` — optional: ``rho``, ``theta_plus``, ``theta_minus``,
   ``borda_weights`` (4 values), ``tie_break``.
 * ``linguistic_aliases`` — optional extra label spellings, mapped onto the
@@ -31,7 +31,6 @@ reading applies.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from .aggregate import BordaConfig
 from .errors import ValidationError
 from .evaluate import MethodParams
 from .normalize import AttributeSpec
-from .values import IntervalGreyNumber, term_index
+from .values import term_index
 from .weights import subjective_interval_weights
 
 __all__ = ["DecisionProblem", "parse_problem", "parse_problem_dict"]
@@ -74,13 +73,13 @@ class DecisionProblem:
     plans: list[str]
     attributes: list[AttributeSpec]
     raw: np.ndarray  # (n, m, 2) cell bounds; see the module docstring
-    subjective: list[IntervalGreyNumber]
+    subjective: np.ndarray  # (m, 2) interval weights, (lo, hi) rows
     subjective_source: str  # "experts" | "intervals"
     preferences: np.ndarray  # (n, 4)
     params: MethodParams
     borda: BordaConfig
     aliases: dict[str, str]
-    payload: dict  # the validated problem document, echoed into reports
+    payload: dict  # a JSON snapshot of the problem document, echoed into reports
 
     @property
     def n_plans(self) -> int:
@@ -166,7 +165,7 @@ def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> tuple[fl
 
 
 def _parse_preference(entry, where: str) -> list[float]:
-    """One ascending, finite 4-tuple of numbers."""
+    """One ascending, finite, nonnegative 4-tuple of numbers."""
     if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
         raise ValidationError(f"{where}: expected 4 components, got {entry!r}")
     q = [_as_number(v, where) for v in entry]
@@ -174,6 +173,8 @@ def _parse_preference(entry, where: str) -> list[float]:
         raise ValidationError(f"{where}: non-finite component in 4-tuple {q}")
     if not q[0] <= q[1] <= q[2] <= q[3]:
         raise ValidationError(f"{where}: 4-tuple components not ascending: {q}")
+    if q[0] < 0:
+        raise ValidationError(f"{where}: 4-tuple components must be nonnegative: {q}")
     return q
 
 
@@ -193,7 +194,7 @@ def _parse_aliases(data) -> dict[str, str]:
     return aliases
 
 
-def _parse_subjective(data, ids: list[str]) -> tuple[list[IntervalGreyNumber], str]:
+def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, str]:
     _require(isinstance(data, dict), "subjective_weights must be an object")
     m = len(ids)
     keys = set(data)
@@ -226,22 +227,20 @@ def _parse_subjective(data, ids: list[str]) -> tuple[list[IntervalGreyNumber], s
             isinstance(intervals, list) and len(intervals) == m,
             f"subjective_weights.intervals must list {m} [lo, hi] pairs",
         )
-        out = []
-        for j, pair in enumerate(intervals):
+        rows = []
+        for attr_id, pair in zip(ids, intervals):
+            where = f"subjective weight for attribute {attr_id!r}"
             _require(
                 isinstance(pair, list) and len(pair) == 2,
-                f"subjective weight {j} must be a [lo, hi] pair",
+                f"{where}: expected a [lo, hi] pair, got {pair!r}",
             )
-            try:
-                out.append(
-                    IntervalGreyNumber(
-                        _as_number(pair[0], f"subjective weight {j}"),
-                        _as_number(pair[1], f"subjective weight {j}"),
-                    )
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"subjective weight {j}: {exc}") from exc
-        return out, "intervals"
+            lo, hi = _as_number(pair[0], where), _as_number(pair[1], where)
+            _require(
+                math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi,
+                f"{where}: requires finite 0 <= lo <= hi, got [{lo}, {hi}]",
+            )
+            rows.append((lo, hi))
+        return np.array(rows, dtype=np.float64), "intervals"
     raise ValidationError(
         "subjective_weights must contain exactly one of 'experts' or 'intervals'"
     )
@@ -350,6 +349,12 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     name = data.get("name", Path(source).stem if source else "problem")
     _require(isinstance(name, str), "name must be a string")
 
+    # The report echo is a JSON round trip: a deep copy, cheaper than copy.deepcopy.
+    try:
+        payload = json.loads(json.dumps(data))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"problem document holds a value JSON cannot encode: {exc}") from None
+
     return DecisionProblem(
         name=name,
         plans=list(plans),
@@ -361,7 +366,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         params=params,
         borda=borda,
         aliases=aliases,
-        payload=copy.deepcopy(data),
+        payload=payload,
     )
 
 

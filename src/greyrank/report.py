@@ -74,8 +74,8 @@ def render_text(report: Report) -> str:
         b = report.weights.beta_interval[j]
         w = report.weights.w_final[j]
         out(
-            f"  {attr.id:<12} [{a.lo:.4f}, {a.hi:.4f}]  "
-            f"[{b.lo:.4f}, {b.hi:.4f}]  [{w.lo:.4f}, {w.hi:.4f}]"
+            f"  {attr.id:<12} [{a[0]:.4f}, {a[1]:.4f}]  "
+            f"[{b[0]:.4f}, {b[1]:.4f}]  [{w[0]:.4f}, {w[1]:.4f}]"
         )
     out("")
 
@@ -165,9 +165,9 @@ def render_csv(report: Report) -> str:
         b = report.weights.beta_interval[j]
         w = report.weights.w_final[j]
         writer.writerow(
-            [attr.id, _fmt(a.lo), _fmt(a.hi), _fmt(report.weights.beta_opt[j])]
+            [attr.id, _fmt(a[0]), _fmt(a[1]), _fmt(report.weights.beta_opt[j])]
             + [_fmt(report.weights.beta_ent[k, j]) for k in range(4)]
-            + [_fmt(b.lo), _fmt(b.hi), _fmt(w.lo), _fmt(w.hi)]
+            + [_fmt(b[0]), _fmt(b[1]), _fmt(w[0]), _fmt(w[1])]
         )
     buf.write("\n")
 

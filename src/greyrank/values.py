@@ -1,4 +1,4 @@
-"""The linguistic scale and the interval grey number.
+"""The linguistic scale.
 
 Attribute values come in four flavours: crisp reals, closed intervals,
 linguistic terms on an 11-step scale, and uncertain linguistic ranges (a pair
@@ -12,14 +12,10 @@ happens in one metric space, 4-dimensional Euclidean.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .errors import ValidationError
 
 __all__ = [
     "DEFAULT_ALIASES",
-    "IntervalGreyNumber",
     "canonical_labels",
     "term_index",
     "term_to_triangle",
@@ -87,21 +83,3 @@ def term_to_triangle(index: int) -> tuple[float, float, float]:
         raise ValidationError(f"linguistic index {index} out of range -5..5")
     return _SCALE[index][1]
 
-
-@dataclass(frozen=True)
-class IntervalGreyNumber:
-    """A nonnegative closed interval [lo, hi]; used for all interval weights."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValidationError(f"non-finite interval bound in [{self.lo}, {self.hi}]")
-        if not 0.0 <= self.lo <= self.hi:
-            raise ValidationError(
-                f"interval grey number requires 0 <= lo <= hi, got [{self.lo}, {self.hi}]"
-            )
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.lo, self.hi)

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._kernels import pairwise_deviation_sums
 from .errors import DegenerateProblemError, ValidationError
-from .values import IntervalGreyNumber
 
 __all__ = [
     "WeightBundle",
@@ -34,18 +32,26 @@ __all__ = [
 ]
 
 
-def subjective_interval_weights(expert_vectors) -> list[IntervalGreyNumber]:
-    """Coordinatewise [min, max] envelope over the expert weight vectors."""
+def _interval_rows(w) -> np.ndarray:
+    """``w`` as an (m, 2) float array of (lo, hi) rows, each finite with 0 <= lo <= hi."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != 2:
+        raise ValidationError(f"expected (m, 2) interval weights, m >= 1, got shape {w.shape}")
+    ok = np.isfinite(w).all(axis=1) & (0.0 <= w[:, 0]) & (w[:, 0] <= w[:, 1])
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise ValidationError(f"interval weight {j} needs finite 0 <= lo <= hi: {w[j].tolist()}")
+    return w
+
+
+def subjective_interval_weights(expert_vectors) -> np.ndarray:
+    """Coordinatewise [min, max] envelope over the expert weight vectors, (m, 2)."""
     v = np.asarray(expert_vectors, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ValidationError(
             f"expected a nonempty L x m array of expert weights, got shape {v.shape}"
         )
-    if not np.isfinite(v).all():
-        raise ValidationError("expert weight vectors contain non-finite entries")
-    if (v < 0).any():
-        raise ValidationError("expert weight vectors must be nonnegative")
-    return [IntervalGreyNumber(lo, hi) for lo, hi in zip(v.min(axis=0), v.max(axis=0))]
+    return _interval_rows(np.column_stack((v.min(axis=0), v.max(axis=0))))
 
 
 def deviation_totals(x: np.ndarray) -> np.ndarray:
@@ -110,10 +116,8 @@ def entropy_weight_table(x: np.ndarray) -> np.ndarray:
     return np.stack([entropy_weights(x, k) for k in (1, 2, 3, 4)])
 
 
-def comprehensive_objective(
-    beta_opt: np.ndarray, beta_ent: np.ndarray
-) -> list[IntervalGreyNumber]:
-    """Envelope [min, max] over the five objective weight candidates."""
+def comprehensive_objective(beta_opt: np.ndarray, beta_ent: np.ndarray) -> np.ndarray:
+    """Envelope [min, max] over the five objective weight candidates, (m, 2)."""
     beta_opt = np.asarray(beta_opt, dtype=np.float64)
     beta_ent = np.asarray(beta_ent, dtype=np.float64)
     if beta_ent.shape != (4, beta_opt.shape[0]):
@@ -121,45 +125,38 @@ def comprehensive_objective(
             f"shape mismatch: beta_opt {beta_opt.shape}, beta_ent {beta_ent.shape}"
         )
     cand = np.vstack([beta_opt[None, :], beta_ent])
-    return [IntervalGreyNumber(lo, hi) for lo, hi in zip(cand.min(axis=0), cand.max(axis=0))]
+    return _interval_rows(np.column_stack((cand.min(axis=0), cand.max(axis=0))))
 
 
-def final_weights(
-    alpha: Sequence[IntervalGreyNumber], beta: Sequence[IntervalGreyNumber]
-) -> list[IntervalGreyNumber]:
-    """Normalized interval product of subjective and objective weights.
+def final_weights(alpha, beta) -> np.ndarray:
+    """Normalized interval product of subjective and objective weights, (m, 2).
 
     Outer-bound interval division: lower bounds over the sum of upper
     products, upper bounds over the sum of lower products, so every crisp
     instantiation of the inputs lands inside the output intervals.
     """
-    if len(alpha) != len(beta):
+    alpha, beta = _interval_rows(alpha), _interval_rows(beta)
+    if alpha.shape != beta.shape:
         raise ValidationError(f"length mismatch: {len(alpha)} alphas, {len(beta)} betas")
-    a_lo = np.array([a.lo for a in alpha])
-    a_hi = np.array([a.hi for a in alpha])
-    b_lo = np.array([b.lo for b in beta])
-    b_hi = np.array([b.hi for b in beta])
-    prod_lo = a_lo * b_lo
-    prod_hi = a_hi * b_hi
+    # The result does not change when alpha is scaled. A power of two is exact
+    # unless it underflows, and it keeps the sums of huge weights finite.
+    alpha = np.ldexp(alpha, -np.frexp(alpha.max())[1])
+    prod_lo, prod_hi = (alpha * beta).T
     den_hi = float(prod_hi.sum())
     den_lo = float(prod_lo.sum())
     if den_hi <= 0 or den_lo <= 0:
         raise DegenerateProblemError(
             "composite weights degenerate: a weight product sum is zero"
         )
-    return [
-        IntervalGreyNumber(lo / den_hi, hi / den_lo)
-        for lo, hi in zip(prod_lo, prod_hi)
-    ]
+    return _interval_rows(np.column_stack((prod_lo / den_hi, prod_hi / den_lo)))
 
 
 @dataclass
 class WeightBundle:
     """Every weight vector the pipeline derives, kept for reporting."""
 
-    alpha: list[IntervalGreyNumber]
+    alpha: np.ndarray  # (m, 2) (lo, hi) rows, like beta_interval and w_final
     beta_opt: np.ndarray
     beta_ent: np.ndarray  # (4, m)
-    beta_interval: list[IntervalGreyNumber]
-    w_final: list[IntervalGreyNumber]
-
+    beta_interval: np.ndarray
+    w_final: np.ndarray

@@ -1,6 +1,8 @@
 import copy
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from greyrank import load_fighter_problem
@@ -156,6 +158,34 @@ def test_non_finite_normalized_value_is_located(tmp_path, capsysbinary):
     assert rc == 2 and out == b""
     assert b"stage normalize: attribute 'A1', row 2:" in err
     assert b"not finite" in err
+
+
+def test_negative_preference_is_located(tmp_path, capsysbinary):
+    data = load_fighter_problem().payload
+    data["preferences"][3] = [-1, 0, 0, 1]
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 2 and out == b""
+    assert b"preference for plan 'G4':" in err
+    assert b"nonnegative" in err
+
+
+def test_huge_subjective_weights_keep_lower_bounds(tmp_path, capsysbinary):
+    # the final weights do not depend on the scale of the subjective weights,
+    # so weights near the float maximum must give those of a unit scale
+    finals = []
+    for pair in ([1e308, 1.7e308], [1.0, 1.7]):
+        data = load_fighter_problem().payload
+        data["subjective_weights"] = {"intervals": [pair] * 9}
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsysbinary, "solve", path, "--format", "json-report")
+        assert rc == 0 and err == b""
+        finals.append(json.loads(out)["weights"]["final"])
+    np.testing.assert_allclose(finals[0], finals[1], rtol=1e-12, atol=0)
 
 
 def test_identical_plans_still_rank(tmp_path, capsysbinary):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyrank import IntervalGreyNumber, MethodParams, ValidationError
+from greyrank import MethodParams, ValidationError
 from greyrank.evaluate import (
     apply_weights,
     approach_with_preference,
@@ -56,10 +56,12 @@ def test_blend_preference_hand_case():
 def test_apply_weights_scales_pairs():
     z = np.zeros((1, 1, 4))
     z[0, 0] = [1.0, 2.0, 3.0, 4.0]
-    y = apply_weights(z, [IntervalGreyNumber(0.5, 2.0)])
+    y = apply_weights(z, np.array([[0.5, 2.0]]))
     np.testing.assert_allclose(y[0, 0], [0.5, 1.0, 6.0, 8.0])
     with pytest.raises(ValidationError):
-        apply_weights(-z, [IntervalGreyNumber(0.5, 2.0)])
+        apply_weights(-z, np.array([[0.5, 2.0]]))
+    with pytest.raises(ValidationError, match="interval weights"):
+        apply_weights(z, np.array([[0.5, 2.0], [0.5, 2.0]]))
 
 
 def test_ideal_vectors_componentwise():

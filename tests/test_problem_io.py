@@ -6,10 +6,12 @@ import pytest
 
 from greyrank import (
     ValidationError,
+    emit_report,
     fighter_problem_path,
     load_fighter_problem,
     parse_problem,
     parse_problem_dict,
+    run_pipeline,
 )
 
 MINIMAL = {
@@ -42,12 +44,7 @@ def test_minimal_problem_parses():
     assert p.n_plans == 2 and p.n_attributes == 4
     assert p.name == "toy"
     assert p.subjective_source == "experts"
-    assert [g.as_tuple() for g in p.subjective] == [
-        (0.3, 0.4),
-        (0.3, 0.3),
-        (0.2, 0.2),
-        (0.1, 0.2),
-    ]
+    assert p.subjective.tolist() == [[0.3, 0.4], [0.3, 0.3], [0.2, 0.2], [0.1, 0.2]]
     assert p.params.rho == 0.5 and p.params.theta_minus == 0.5
     assert p.borda.method_weights == (0.25, 0.25, 0.25, 0.25)
     np.testing.assert_allclose(p.preferences[0], [0.2, 0.3, 0.4, 0.5])
@@ -188,6 +185,35 @@ def test_bad_expert_weight_names_expert_and_attribute(weight):
         parse_problem_dict(data)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [["a", 1], 0.5, [0.1], [float("nan"), 0.2], [0.1, float("inf")], [10**400, 1],
+     [-0.1, 0.2], [0.3, 0.2]],
+    ids=["string", "not-a-list", "one-bound", "nan", "inf", "huge-integer", "negative",
+         "descending"],
+)
+def test_bad_subjective_interval_names_attribute_once(pair):
+    data = toy(subjective_weights={"intervals": [pair] + [[0.1, 0.2]] * 3})
+    with pytest.raises(ValidationError) as exc:
+        parse_problem_dict(data)
+    message = str(exc.value)
+    assert message.startswith("subjective weight for attribute 'A1': ")
+    assert message.count("subjective weight") == 1
+
+
+def test_payload_is_a_snapshot():
+    document = json.loads(fighter_problem_path().read_text(encoding="utf-8"))
+    data = copy.deepcopy(document)
+    problem = parse_problem_dict(data)
+    data["matrix"][0][0] = 1.0
+    data["name"] = "changed"
+    report = json.loads(emit_report(run_pipeline(problem), "json-report"))
+    assert report["problem"] == document
+    # a value JSON cannot encode is a validation error, not a TypeError
+    with pytest.raises(ValidationError, match="JSON"):
+        parse_problem_dict(dict(document, notes={1, 2}))
+
+
 def test_attribute_id_must_be_a_string():
     data = toy()
     data["attributes"][1]["id"] = ["x"]
@@ -200,6 +226,8 @@ def test_preferences_validated():
         parse_problem_dict(toy(preferences=[[0.2, 0.3, 0.4, 0.5], [0.4, 0.2, 0.3, 0.5]]))
     with pytest.raises(ValidationError, match="preferences"):
         parse_problem_dict(toy(preferences=[[0.2, 0.3, 0.4, 0.5]]))
+    with pytest.raises(ValidationError, match="'P1'.*nonnegative"):
+        parse_problem_dict(toy(preferences=[[-0.1, 0.3, 0.4, 0.5], [0.1, 0.2, 0.3, 0.4]]))
 
 
 def test_params_validated():

@@ -7,6 +7,8 @@ read and executed here without writing anything next to it.
 
 from pathlib import Path
 
+from greyrank import cli, fighter_problem_path
+
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
@@ -17,3 +19,24 @@ def test_perfbench_traced_names_resolve():
     for module, name, metric in namespace["TRACED"]:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name} ({metric})"
     assert callable(namespace["using_numba"])  # from greyrank._kernels
+
+
+def test_traced_names_called_per_solve(tmp_path, monkeypatch):
+    # a renamed or bypassed call would read as 0 ms in a trace; each name the
+    # tracer wraps must be the one a solve actually calls
+    namespace = {"__name__": "perfbench_child", "__file__": str(CHILD)}
+    exec(compile(CHILD.read_text(encoding="utf-8"), str(CHILD), "exec"), namespace)
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, _ in namespace["TRACED"]:
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    assert cli.main(["solve", str(fighter_problem_path()), "--out", str(tmp_path / "r")]) == 0
+    assert all(calls.values()), {key: n for key, n in calls.items() if not n}

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from greyrank import IntervalGreyNumber, ValidationError, parse_problem_dict
+from greyrank import ValidationError, parse_problem_dict
 from greyrank._kernels import distance_grid
 from greyrank.normalize import AttributeSpec, normalize_matrix
 from greyrank.values import canonical_labels, term_index, term_to_triangle
+from greyrank.weights import final_weights
 
 
 def one_column_doc(kind, cells, direction="benefit"):
@@ -142,13 +143,18 @@ def test_generalized_value_rejects_disorder():
             parse_problem_dict(doc)
 
 
-def test_interval_grey_number_bounds():
-    g = IntervalGreyNumber(0.1, 0.3)
-    assert g.as_tuple() == (0.1, 0.3)
-    with pytest.raises(ValidationError):
-        IntervalGreyNumber(-0.1, 0.3)
-    with pytest.raises(ValidationError):
-        IntervalGreyNumber(0.4, 0.3)
+def test_interval_weight_bounds():
+    # interval weights are (lo, hi) rows with 0 <= lo <= hi, where parsed and
+    # where derived
+    doc = one_column_doc("real", [1.0, 2.0])
+    doc["subjective_weights"] = {"intervals": [[0.1, 0.3]]}
+    assert parse_problem_dict(doc).subjective.tolist() == [[0.1, 0.3]]
+    for bad in ([-0.1, 0.3], [0.4, 0.3]):
+        doc["subjective_weights"] = {"intervals": [bad]}
+        with pytest.raises(ValidationError, match="subjective weight for attribute 'A'"):
+            parse_problem_dict(doc)
+        with pytest.raises(ValidationError, match="interval weight 0"):
+            final_weights(np.array([bad]), np.array([[0.5, 0.5]]))
 
 
 def dist(a, b):

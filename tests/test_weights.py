@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from greyrank import (
     DegenerateProblemError,
-    IntervalGreyNumber,
     ValidationError,
     load_fighter_problem,
     run_pipeline,
@@ -25,12 +24,14 @@ from oracles import brute_deviation_coefficients, random_generalized_matrix
 
 def test_subjective_envelope_hand_case():
     alpha = subjective_interval_weights([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]])
-    assert [g.as_tuple() for g in alpha] == [(0.4, 0.5), (0.3, 0.4), (0.2, 0.2)]
+    assert alpha.tolist() == [[0.4, 0.5], [0.3, 0.4], [0.2, 0.2]]
 
 
 def test_subjective_envelope_validation():
     with pytest.raises(ValidationError):
         subjective_interval_weights([[0.5, np.nan]])
+    with pytest.raises(ValidationError, match="interval weight 1"):
+        subjective_interval_weights([[0.5, -0.1], [0.4, 0.2]])
     with pytest.raises(ValidationError):
         subjective_interval_weights(np.empty((0, 3)))
 
@@ -124,17 +125,17 @@ def test_comprehensive_objective_envelope():
     beta_opt = np.array([0.5, 0.5])
     beta_ent = np.array([[0.2, 0.8], [0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
     env = comprehensive_objective(beta_opt, beta_ent)
-    assert [g.as_tuple() for g in env] == [(0.2, 0.6), (0.4, 0.8)]
+    assert env.tolist() == [[0.2, 0.6], [0.4, 0.8]]
     with pytest.raises(ValidationError):
         comprehensive_objective(beta_opt, beta_ent[:, :1])
 
 
 def test_final_weights_hand_case():
-    alpha = [IntervalGreyNumber(0.4, 0.6), IntervalGreyNumber(0.4, 0.6)]
-    beta = [IntervalGreyNumber(0.5, 0.5), IntervalGreyNumber(0.5, 0.5)]
+    alpha = np.array([[0.4, 0.6], [0.4, 0.6]])
+    beta = np.array([[0.5, 0.5], [0.5, 0.5]])
     w = final_weights(alpha, beta)
     # lower = 0.2 / 0.6, upper = 0.3 / 0.4
-    np.testing.assert_allclose([g.as_tuple() for g in w], [(1 / 3, 0.75), (1 / 3, 0.75)])
+    np.testing.assert_allclose(w, [(1 / 3, 0.75), (1 / 3, 0.75)])
 
 
 def test_final_weights_contain_crisp_quotients():
@@ -145,40 +146,35 @@ def test_final_weights_contain_crisp_quotients():
         hi_a = lo_a + rng.random(m) * 0.5
         lo_b = rng.random(m) * 0.5 + 0.01
         hi_b = lo_b + rng.random(m) * 0.5
-        alpha = [IntervalGreyNumber(a, b) for a, b in zip(lo_a, hi_a)]
-        beta = [IntervalGreyNumber(a, b) for a, b in zip(lo_b, hi_b)]
-        w = final_weights(alpha, beta)
+        w = final_weights(np.column_stack((lo_a, hi_a)), np.column_stack((lo_b, hi_b)))
         # any crisp choice inside the input intervals must land inside w
         for _ in range(10):
             a = lo_a + rng.random(m) * (hi_a - lo_a)
             b = lo_b + rng.random(m) * (hi_b - lo_b)
             crisp = a * b / (a * b).sum()
             for j in range(m):
-                assert w[j].lo <= crisp[j] + 1e-12
-                assert crisp[j] <= w[j].hi + 1e-12
+                assert w[j, 0] <= crisp[j] + 1e-12
+                assert crisp[j] <= w[j, 1] + 1e-12
 
 
 def test_final_weights_degenerate_zero_denominator():
-    alpha = [IntervalGreyNumber(0.0, 0.0)]
-    beta = [IntervalGreyNumber(0.5, 0.5)]
     with pytest.raises(DegenerateProblemError):
-        final_weights(alpha, beta)
+        final_weights(np.array([[0.0, 0.0]]), np.array([[0.5, 0.5]]))
 
 
 def test_pipeline_weight_bundle_shapes():
     bundle = run_pipeline(load_fighter_problem()).weights
     assert bundle.beta_opt.shape == (9,)
     assert bundle.beta_ent.shape == (4, 9)
-    assert len(bundle.alpha) == 9
-    assert len(bundle.beta_interval) == 9
-    assert len(bundle.w_final) == 9
-    for g in bundle.w_final:
-        assert 0 <= g.lo <= g.hi
+    assert bundle.alpha.shape == (9, 2)
+    assert bundle.beta_interval.shape == (9, 2)
+    assert bundle.w_final.shape == (9, 2)
+    lo, hi = bundle.w_final.T
+    assert ((0 <= lo) & (lo <= hi)).all()
     # beta_opt and every entropy row lie inside the comprehensive envelope
-    for j, g in enumerate(bundle.beta_interval):
-        assert g.lo <= bundle.beta_opt[j] <= g.hi
-        for k in range(4):
-            assert g.lo <= bundle.beta_ent[k, j] <= g.hi
+    lo, hi = bundle.beta_interval.T
+    assert ((lo <= bundle.beta_opt) & (bundle.beta_opt <= hi)).all()
+    assert ((lo <= bundle.beta_ent) & (bundle.beta_ent <= hi)).all()
 
 
 @settings(max_examples=40, deadline=None)
