@@ -1,8 +1,9 @@
 """Numeric kernels: 4-D Euclidean distances between normalized 4-tuples.
 
-The pairwise-deviation kernel is quadratic in the number of plans and
-dominates runtime on large problems; the distance grid is the inner loop of
-every scoring method. Both are plain numpy. ``perfbench/run.py --trace 1``
+``distance_grid`` is the one place a 4-D distance is computed. The
+pairwise-deviation kernel sums its blocks and is quadratic in the number of
+plans, so it dominates runtime on large problems; the score stage builds one
+grid per ideal. Both are plain numpy. ``perfbench/run.py --trace 1``
 times each one per solve (``kernels.*_ms``).
 """
 
@@ -34,8 +35,7 @@ def pairwise_deviation_sums(x: np.ndarray) -> np.ndarray:
     for j in range(m):
         col = x[:, j, :]
         for start in range(0, n, _BLOCK):
-            diff = col[start:start + _BLOCK, None, :] - col[None, :, :]
-            out[j] += np.sqrt((diff * diff).sum(axis=-1)).sum()
+            out[j] += distance_grid(col[start:start + _BLOCK, None, :], col).sum()
     return out
 
 
@@ -43,7 +43,10 @@ def distance_grid(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """4-D distance from every (plan, attribute) cell to a reference vector.
 
     ``y`` is a float array of shape (n, m, 4), ``ref`` of shape (m, 4); the
-    result has shape (n, m).
+    result has shape (n, m). Any shapes that broadcast like these work too.
     """
     diff = y - ref[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    # Squaring in place saves the largest temporary; a fresh one per call
+    # made glibc return and re-fault the heap on every deviation block.
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1))

@@ -2,8 +2,9 @@
 
 All four consume the same matrix Y: the normalized matrix blended with the
 decision maker's per-plan preference tuples and scaled by the final interval
-weights. TOPSIS scores closeness to the componentwise ideal rows by Euclidean
-distance; the other three are built on grey incidence degrees, the mean Deng
+weights. One (n, m) grid of 4-D distances to each componentwise ideal feeds
+all four. TOPSIS scores closeness by the Euclidean norm of each plan's grid
+rows; the other three are built on grey incidence degrees, the mean Deng
 closeness coefficient of each plan against the positive and negative ideal
 vectors.
 """
@@ -23,7 +24,6 @@ __all__ = [
     "IdealVectors",
     "MethodParams",
     "MethodScores",
-    "METHOD_NAMES",
     "apply_weights",
     "approach_with_preference",
     "blend_preference",
@@ -36,9 +36,6 @@ __all__ = [
     "score_all_methods",
     "topsis_scores",
 ]
-
-METHOD_NAMES = ("topsis", "grey-approach", "membership", "max-entropy")
-
 
 @dataclass(frozen=True)
 class MethodParams:
@@ -92,10 +89,12 @@ class IdealVectors:
     negative: np.ndarray  # (m, 4)
 
 
-def _check_matrix(y: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _check_matrix(y: np.ndarray, ndim: int = 3) -> np.ndarray:
+    """``y`` as a nonempty float array of shape (n, m, 4), or (n, m) if ``ndim`` is 2."""
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 3 or y.shape[2] != 4 or y.shape[0] < 1 or y.shape[1] < 1:
-        raise ValidationError(f"expected a nonempty (n, m, 4) {name}, got shape {y.shape}")
+    if y.ndim != ndim or y.shape[2:] not in ((), (4,)) or 0 in y.shape:
+        shape = "(n, m, 4)" if ndim == 3 else "(n, m)"
+        raise ValidationError(f"expected a nonempty {shape} array, got shape {y.shape}")
     return y
 
 
@@ -135,35 +134,29 @@ def ideal_vectors(y: np.ndarray) -> IdealVectors:
     return IdealVectors(positive=y.max(axis=0), negative=y.min(axis=0))
 
 
-def topsis_scores(y: np.ndarray, ideals: IdealVectors) -> MethodScores:
-    """Relative closeness D- / (D+ + D-) to the ideal rows.
+def topsis_scores(dplus: np.ndarray, dminus: np.ndarray) -> MethodScores:
+    """Relative closeness D- / (D+ + D-), where D is the norm of a plan's row of
+    the (n, m) distance grid to the positive or negative ideal.
 
-    When the positive and negative ideals coincide (all plans identical) every
-    plan scores 0.5 by convention, a full tie.
+    When the two ideals coincide (all plans identical) every plan scores 0.5
+    by convention, a full tie.
     """
-    y = _check_matrix(y)
-    dpos = np.sqrt(((y - ideals.positive[None]) ** 2).sum(axis=(1, 2)))
-    dneg = np.sqrt(((y - ideals.negative[None]) ** 2).sum(axis=(1, 2)))
+    dplus, dminus = _check_matrix(dplus, 2), _check_matrix(dminus, 2)
+    dpos, dneg = (np.sqrt((d * d).sum(axis=1)) for d in (dplus, dminus))
     total = dpos + dneg
     scores = np.where(total > 0, dneg / np.where(total > 0, total, 1.0), 0.5)
     return MethodScores.from_scores("topsis", scores)
 
 
-def incidence_coefficients(y: np.ndarray, ideal: np.ndarray, rho: float = 0.5) -> np.ndarray:
-    """Deng incidence coefficient of every cell against the ideal vector.
+def incidence_coefficients(d: np.ndarray, rho: float = 0.5) -> np.ndarray:
+    """Deng incidence coefficient of every cell of the (n, m) distance grid ``d``.
 
     r = (d_min + rho * d_max) / (d + rho * d_max), with d_min and d_max taken
     over the full plan-by-attribute grid. All distances zero yields all ones.
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
-    y = _check_matrix(y)
-    ideal = np.asarray(ideal, dtype=np.float64)
-    if ideal.shape != (y.shape[1], 4):
-        raise ValidationError(
-            f"expected ideal vector of shape ({y.shape[1]}, 4), got {ideal.shape}"
-        )
-    d = distance_grid(y, ideal)
+    d = _check_matrix(d, 2)
     d_max = float(d.max())
     if d_max <= 0:
         return np.ones_like(d)
@@ -173,10 +166,7 @@ def incidence_coefficients(y: np.ndarray, ideal: np.ndarray, rho: float = 0.5) -
 
 def incidence_degrees(coefficients: np.ndarray) -> np.ndarray:
     """Row mean of incidence coefficients: one closeness degree per plan."""
-    r = np.asarray(coefficients, dtype=np.float64)
-    if r.ndim != 2 or r.shape[1] < 1:
-        raise ValidationError(f"expected a (n, m) coefficient grid, got shape {r.shape}")
-    return r.mean(axis=1)
+    return _check_matrix(coefficients, 2).mean(axis=1)
 
 
 def approach_with_preference(
@@ -256,11 +246,17 @@ def score_all_methods(
     """
     params = params or MethodParams()
     y = _check_matrix(y)
-    topsis = topsis_scores(y, ideals)
-    rplus = incidence_coefficients(y, ideals.positive, params.rho)
-    rminus = incidence_coefficients(y, ideals.negative, params.rho)
-    gplus = incidence_degrees(rplus)
-    gminus = incidence_degrees(rminus)
+    if ideals.positive.shape != y.shape[1:] or ideals.negative.shape != y.shape[1:]:
+        raise ValidationError(f"expected ideal vectors of shape {y.shape[1:]}")
+    # Every method is invariant to the scale of y. An exact power of two
+    # keeps the squared distances of huge entries finite.
+    e = -np.frexp(np.abs(y).max())[1]
+    y = np.ldexp(y, e)
+    dplus = distance_grid(y, np.ldexp(ideals.positive, e))
+    dminus = distance_grid(y, np.ldexp(ideals.negative, e))
+    topsis = topsis_scores(dplus, dminus)
+    gplus = incidence_degrees(incidence_coefficients(dplus, params.rho))
+    gminus = incidence_degrees(incidence_coefficients(dminus, params.rho))
     approach = approach_with_preference(gplus, gminus, params)
     membership = membership_degrees(gplus, gminus)
     b1, b2 = max_entropy_weights(gplus, gminus)

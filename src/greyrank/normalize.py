@@ -64,10 +64,12 @@ def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> 
                 f"attribute {spec.id!r}, row {bad}: cost column requires strictly "
                 f"positive values, got {lo[bad]}"
             )
-        inv_lo_sum = (1.0 / lo).sum()
-        inv_hi_sum = (1.0 / hi).sum()
-        x_lo = (1.0 / hi) / inv_lo_sum
-        x_hi = (1.0 / lo) / inv_hi_sum
+        # An overflowing reciprocal is reported by normalize_matrix, located.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            inv_lo_sum = (1.0 / lo).sum()
+            inv_hi_sum = (1.0 / hi).sum()
+            x_lo = (1.0 / hi) / inv_lo_sum
+            x_hi = (1.0 / lo) / inv_hi_sum
     else:
         if (lo < 0).any():
             bad = int(np.argmax(lo < 0))
@@ -75,6 +77,9 @@ def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> 
                 f"attribute {spec.id!r}, row {bad}: negative value {lo[bad]} in a "
                 f"benefit column is not supported"
             )
+        # The rule is scale-free; an exact power of two keeps huge sums finite.
+        e = -np.frexp(hi.max())[1]
+        lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
         lo_sum = lo.sum()
         hi_sum = hi.sum()
         if lo_sum <= 0:

@@ -7,14 +7,13 @@ intermediate table, so renderers and tests can inspect each stage.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregate import BordaConfig, RankResult, weighted_borda
-from .errors import DegenerateProblemError, GreyrankError
+from .errors import GreyrankError
 from .evaluate import (
     IdealVectors,
     MethodParams,
@@ -132,26 +131,13 @@ class Report:
 
 def run_pipeline(problem: DecisionProblem) -> Report:
     """Run the full chain on a validated problem."""
-    notes: list[str] = []
-    n, m = problem.n_plans, problem.n_attributes
-
     with _stage("normalize"):
         x = normalize_matrix(problem.raw, problem.attributes)
 
     with _stage("weights"):
-        try:
-            beta_opt = optimization_weights(x)
-        except DegenerateProblemError:
-            # All plans identical: no deviation signal, fall back to uniform.
-            beta_opt = np.full(m, 1.0 / m)
-            notes.append(
-                "deviation-based weights degenerate (all plans identical); "
-                "used uniform weights instead"
-            )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            beta_ent = entropy_weight_table(x)
-        notes.extend(str(w.message) for w in caught)
+        beta_opt, notes = optimization_weights(x)
+        beta_ent, entropy_notes = entropy_weight_table(x)
+        notes += entropy_notes
         beta_interval = comprehensive_objective(beta_opt, beta_ent)
         w_final = final_weights(problem.subjective, beta_interval)
         bundle = WeightBundle(

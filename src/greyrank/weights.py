@@ -7,12 +7,12 @@ normalized matrix: a deviation-maximizing weight (each attribute in
 proportion to its total pairwise plan deviation) and four entropy weights
 (one per tuple component). Their coordinatewise envelope is the objective
 interval weight, and the final weight is the normalized interval product of
-subjective and objective.
+subjective and objective. Both objective weightings return ``(weights,
+notes)``: a weighting without signal falls back to uniform, with a note.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "comprehensive_objective",
     "deviation_totals",
     "entropy_weight_table",
-    "entropy_weights",
     "final_weights",
     "optimization_weights",
     "subjective_interval_weights",
@@ -54,66 +53,59 @@ def subjective_interval_weights(expert_vectors) -> np.ndarray:
     return _interval_rows(np.column_stack((v.min(axis=0), v.max(axis=0))))
 
 
+def _matrix(x: np.ndarray) -> np.ndarray:
+    """``x`` as a nonempty (n, m, 4) float array."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != 4 or x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValidationError(f"expected a nonempty (n, m, 4) matrix, got shape {x.shape}")
+    return x
+
+
 def deviation_totals(x: np.ndarray) -> np.ndarray:
     """Per-attribute sum of 4-D distances over all ordered plan pairs."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != 4:
-        raise ValidationError(f"expected a (n, m, 4) matrix, got shape {x.shape}")
-    return pairwise_deviation_sums(x)
+    return pairwise_deviation_sums(_matrix(x))
 
 
-def optimization_weights(x: np.ndarray) -> np.ndarray:
-    """Deviation-maximizing weights renormalized to sum to one."""
+def optimization_weights(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Deviation-maximizing weights renormalized to sum to one, and notes;
+    uniform, with one note, when all plans are identical."""
     totals = deviation_totals(x)
     total = float(totals.sum())
     if total <= 0:
-        raise DegenerateProblemError(
-            "all plans are identical in every attribute; deviation weights undefined"
-        )
-    return totals / total
+        return np.full(len(totals), 1.0 / len(totals)), [
+            "deviation-based weights degenerate (all plans identical); "
+            "used uniform weights instead"
+        ]
+    return totals / total, []
 
 
-def entropy_weights(x: np.ndarray, component: int) -> np.ndarray:
-    """Entropy weights of one tuple component (1-based, 1..4).
+def entropy_weight_table(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Entropy weights of all four tuple components, shape (4, m), and notes.
 
-    Each column of the chosen component is turned into a distribution over
-    plans; attributes are weighted by one minus their normalized Shannon
-    entropy, so flat columns get zero weight. An all-zero column is treated
-    as the limit of a flat one and also gets zero weight. If every column
-    ends up weightless the weights fall back to uniform with a warning.
+    Each column of a component is turned into a distribution over plans;
+    attributes are weighted by one minus their normalized Shannon entropy, so
+    flat and all-zero columns get zero weight. A component whose columns are
+    all weightless, and each component of a single plan, is uniform with a note.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != 4:
-        raise ValidationError(f"expected a (n, m, 4) matrix, got shape {x.shape}")
-    if component not in (1, 2, 3, 4):
-        raise ValidationError(f"component must be in 1..4, got {component}")
-    v = x[:, :, component - 1]
-    n, m = v.shape
-    if (v < 0).any():
+    x = _matrix(x)
+    n, m, _ = x.shape
+    if (x < 0).any():
         raise ValidationError("entropy weights require nonnegative values")
+    uniform = np.full(m, 1.0 / m)
     if n == 1:
         # A single plan carries no dispersion information.
-        warnings.warn("single plan: entropy weights fall back to uniform", stacklevel=2)
-        return np.full(m, 1.0 / m)
-    col_sums = v.sum(axis=0)
-    p = v / np.where(col_sums > 0, col_sums, 1.0)
+        return np.tile(uniform, (4, 1)), ["single plan: entropy weights fall back to uniform"] * 4
+    col_sums = x.sum(axis=0)
+    p = x / np.where(col_sums > 0, col_sums, 1.0)
     plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    entropy = -plogp.sum(axis=0) / np.log(n)
-    entropy = np.where(col_sums > 0, entropy, 1.0)
-    eta = np.clip(1.0 - entropy, 0.0, None)
-    eta_sum = float(eta.sum())
-    if eta_sum <= 1e-15:
-        warnings.warn(
-            "all attribute columns are flat: entropy weights fall back to uniform",
-            stacklevel=2,
-        )
-        return np.full(m, 1.0 / m)
-    return eta / eta_sum
-
-
-def entropy_weight_table(x: np.ndarray) -> np.ndarray:
-    """Entropy weights for all four tuple components, shape (4, m)."""
-    return np.stack([entropy_weights(x, k) for k in (1, 2, 3, 4)])
+    entropy = np.where(col_sums > 0, -plogp.sum(axis=0) / np.log(n), 1.0)
+    # Rows of a contiguous (4, m) table sum in the order a lone (m,) vector does.
+    eta = np.ascontiguousarray(np.clip(1.0 - entropy, 0.0, None).T)
+    eta_sums = eta.sum(axis=1, keepdims=True)
+    flat = eta_sums <= 1e-15
+    table = np.where(flat, uniform, eta / np.where(flat, 1.0, eta_sums))
+    notes = ["all attribute columns are flat: entropy weights fall back to uniform"]
+    return table, notes * int(flat.sum())
 
 
 def comprehensive_objective(beta_opt: np.ndarray, beta_ent: np.ndarray) -> np.ndarray:

@@ -131,6 +131,20 @@ def loop_incidence_grid(y: np.ndarray, ref: np.ndarray, rho: float) -> np.ndarra
     return (dmin + rho * dmax) / (d + rho * dmax)
 
 
+def loop_topsis(y: np.ndarray) -> np.ndarray:
+    """TOPSIS closeness D- / (D+ + D-) over the whole plan row, via plain loops."""
+    n, m, _ = y.shape
+    best = [[max(y[i, j, k] for i in range(n)) for k in range(4)] for j in range(m)]
+    worst = [[min(y[i, j, k] for i in range(n)) for k in range(4)] for j in range(m)]
+    scores = np.empty(n)
+    for i in range(n):
+        cells = [(y[i, j, k], j, k) for j in range(m) for k in range(4)]
+        dpos = math.sqrt(sum((v - best[j][k]) ** 2 for v, j, k in cells))
+        dneg = math.sqrt(sum((v - worst[j][k]) ** 2 for v, j, k in cells))
+        scores[i] = 0.5 if dpos + dneg == 0 else dneg / (dpos + dneg)
+    return scores
+
+
 def random_generalized_matrix(
     rng: np.random.Generator, n: int, m: int, scale: float = 1.0
 ) -> np.ndarray:

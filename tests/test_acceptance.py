@@ -22,6 +22,7 @@ from greyrank import (
     parse_problem_dict,
     run_pipeline,
 )
+from greyrank._kernels import distance_grid
 from greyrank.aggregate import weighted_borda
 from greyrank.cli import main
 from greyrank.evaluate import (
@@ -152,7 +153,7 @@ def test_c3_deviation_weights_against_projected_ascent():
         worst_gap = max(worst_gap, gap / scale)
         assert gap <= 1e-6 * scale, (gap, n, m)
         assert float(c @ closed) >= float(c @ ascent) - 1e-9
-        simplex = optimization_weights(x)
+        simplex, _ = optimization_weights(x)
         assert abs(simplex.sum() - 1.0) <= 1e-9
         assert (simplex >= 0).all()
         checked += 1
@@ -267,7 +268,7 @@ def test_c6_generated_invariants():
         m = int(rng.integers(1, 6))
         y = random_generalized_matrix(rng, n, m)
         rho = float(rng.uniform(0.05, 0.95))
-        r = incidence_coefficients(y, ideal_vectors(y).positive, rho)
+        r = incidence_coefficients(distance_grid(y, ideal_vectors(y).positive), rho)
         assert (r > 0).all() and (r <= 1.0 + 1e-15).all()
         assert np.isclose(r.max(), 1.0)
         g = incidence_degrees(r)

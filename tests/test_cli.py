@@ -147,17 +147,48 @@ def test_degenerate_problem_exits_3(tmp_path, capsysbinary):
     assert b"normalize" in err  # failing stage is named
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_normalized_value_is_located(tmp_path, capsysbinary):
-    # 1 / 5e-324 overflows, so the cost column normalizes to NaN and inf
+    # 1 / 5e-324 overflows, so the cost column normalizes to NaN; the located
+    # error is the only line on stderr
     data = load_fighter_problem().payload
     data["matrix"][2][0] = 5e-324
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     rc, out, err = run(capsysbinary, "solve", path)
     assert rc == 2 and out == b""
-    assert b"stage normalize: attribute 'A1', row 2:" in err
-    assert b"not finite" in err
+    assert err.startswith(b"greyrank: error: stage normalize: attribute 'A1', row 2:")
+    assert err.endswith(b"is not finite\n") and err.count(b"\n") == 1
+
+
+def solve_json(capsysbinary, tmp_path, data):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsysbinary, "solve", path, "--format", "json-report")
+    assert rc == 0 and err == b""
+    return json.loads(out)
+
+
+def test_huge_benefit_column_is_not_zeroed(tmp_path, capsysbinary):
+    # the benefit rule does not depend on the column's scale, so an interval
+    # column near the float maximum normalizes exactly like the original
+    data = load_fighter_problem().payload
+    for row in data["matrix"]:
+        row[2] = {"interval": [v * 2.0**1015 for v in row[2]["interval"]]}
+    scaled = solve_json(capsysbinary, tmp_path, data)
+    plain = solve_json(capsysbinary, tmp_path, load_fighter_problem().payload)
+    assert scaled["normalized"] == plain["normalized"]
+    assert scaled["methods"] == plain["methods"]
+
+
+def test_huge_preference_is_scored(tmp_path, capsysbinary):
+    # the scores do not depend on the scale of the weighted matrix, so a
+    # preference tuple near 1e160 must not overflow the squared distances
+    data = load_fighter_problem().payload
+    data["preferences"][3] = [0, 0.1, 0.2, 1e160]
+    report = solve_json(capsysbinary, tmp_path, data)
+    assert report["final_ranking"] == ["G4", "G2", "G5", "G1", "G3"]
 
 
 def test_negative_preference_is_located(tmp_path, capsysbinary):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greyrank import MethodParams, ValidationError
+from greyrank._kernels import distance_grid
 from greyrank.evaluate import (
     apply_weights,
     approach_with_preference,
@@ -22,8 +23,15 @@ from oracles import (
     grid_membership,
     line_search_entropy_pair,
     loop_incidence_grid,
+    loop_topsis,
     random_generalized_matrix,
 )
+
+
+def ideal_grids(y):
+    """The distance grids to the positive and the negative ideal of ``y``."""
+    ideals = ideal_vectors(y)
+    return distance_grid(y, ideals.positive), distance_grid(y, ideals.negative)
 
 
 def test_method_params_validation():
@@ -79,7 +87,7 @@ def test_topsis_hand_case():
     y[0, 0] = [0, 1, 1, 2]
     y[1, 0] = [0, 0, 2, 2]
     y[2, 0] = [0, 2, 2, 2]
-    scores = topsis_scores(y, ideal_vectors(y)).scores
+    scores = topsis_scores(*ideal_grids(y)).scores
     assert scores[2] == pytest.approx(1.0)
     assert scores[0] == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)))
     assert scores[1] == pytest.approx(1.0 / 3.0)
@@ -87,7 +95,7 @@ def test_topsis_hand_case():
 
 def test_topsis_identical_plans_full_tie():
     y = np.tile(np.array([0.1, 0.2, 0.3, 0.4]), (4, 2, 1))
-    scores = topsis_scores(y, ideal_vectors(y)).scores
+    scores = topsis_scores(*ideal_grids(y)).scores
     np.testing.assert_allclose(scores, np.full(4, 0.5))
 
 
@@ -100,8 +108,16 @@ def test_topsis_prefers_row_nearer_positive_ideal():
     ideals = ideal_vectors(y)
     d_minus = [np.linalg.norm(row[0] - ideals.negative[0]) for row in y]
     assert d_minus[1] == pytest.approx(d_minus[2])
-    scores = topsis_scores(y, ideals).scores
+    scores = topsis_scores(*ideal_grids(y)).scores
     assert scores[1] > scores[2]
+
+
+def test_topsis_matches_loop_oracle():
+    rng = np.random.default_rng(23)
+    for n, m in ((1, 1), (2, 3), (5, 4), (9, 7)):
+        y = random_generalized_matrix(rng, n, m, scale=float(rng.uniform(0.1, 10.0)))
+        scores = topsis_scores(*ideal_grids(y)).scores
+        np.testing.assert_allclose(scores, loop_topsis(y), rtol=1e-12)
 
 
 def test_incidence_coefficients_match_loop_oracle():
@@ -109,7 +125,7 @@ def test_incidence_coefficients_match_loop_oracle():
     y = random_generalized_matrix(rng, 5, 3)
     ideals = ideal_vectors(y)
     for rho in (0.2, 0.5, 0.9):
-        ours = incidence_coefficients(y, ideals.positive, rho)
+        ours = incidence_coefficients(distance_grid(y, ideals.positive), rho)
         oracle = loop_incidence_grid(y, ideals.positive, rho)
         np.testing.assert_allclose(ours, oracle, rtol=1e-12)
 
@@ -117,7 +133,7 @@ def test_incidence_coefficients_match_loop_oracle():
 def test_incidence_coefficient_range_and_peak():
     rng = np.random.default_rng(22)
     y = random_generalized_matrix(rng, 6, 4)
-    r = incidence_coefficients(y, ideal_vectors(y).positive, 0.5)
+    r = incidence_coefficients(ideal_grids(y)[0], 0.5)
     assert (r > 0).all() and (r <= 1).all()
     # the cell at the global minimum distance scores exactly 1
     assert r.max() == pytest.approx(1.0, abs=1e-15)
@@ -125,14 +141,13 @@ def test_incidence_coefficient_range_and_peak():
 
 def test_incidence_identical_matrix_gives_ones():
     y = np.tile(np.array([0.2, 0.3, 0.4, 0.5]), (3, 2, 1))
-    r = incidence_coefficients(y, ideal_vectors(y).positive, 0.5)
+    r = incidence_coefficients(ideal_grids(y)[0], 0.5)
     np.testing.assert_allclose(r, np.ones((3, 2)))
 
 
 def test_incidence_rho_validation():
-    y = np.zeros((1, 1, 4))
     with pytest.raises(ValidationError):
-        incidence_coefficients(y, ideal_vectors(y).positive, 0.0)
+        incidence_coefficients(np.zeros((1, 1)), 0.0)
 
 
 def test_incidence_degrees_row_mean():
@@ -148,7 +163,7 @@ def test_incidence_degree_is_one_at_the_ideal_row():
     y[2] = [[0.2, 0.3, 0.4, 0.5], [0.1, 0.2, 0.3, 0.4]]
     ideals = ideal_vectors(y)
     np.testing.assert_allclose(ideals.positive, y[0])
-    g = incidence_degrees(incidence_coefficients(y, ideals.positive, 0.5))
+    g = incidence_degrees(incidence_coefficients(distance_grid(y, ideals.positive), 0.5))
     assert g[0] == pytest.approx(1.0)
     assert ((g > 0) & (g <= 1)).all()
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from greyrank.weights import (
     comprehensive_objective,
     deviation_totals,
     entropy_weight_table,
-    entropy_weights,
     final_weights,
     optimization_weights,
     subjective_interval_weights,
@@ -49,7 +50,8 @@ def test_optimization_weights_normalizations():
     x = random_generalized_matrix(rng, 4, 3)
     totals = deviation_totals(x)
     unit = totals / np.linalg.norm(totals)
-    summed = optimization_weights(x)
+    summed, notes = optimization_weights(x)
+    assert notes == []
     assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-12)
     assert summed.sum() == pytest.approx(1.0, abs=1e-12)
     assert (unit >= 0).all() and (summed >= 0).all()
@@ -59,8 +61,11 @@ def test_optimization_weights_normalizations():
 
 def test_optimization_weights_degenerate_on_identical_plans():
     x = np.tile(np.array([0.1, 0.2, 0.3, 0.4]), (3, 2, 1))
-    with pytest.raises(DegenerateProblemError):
-        optimization_weights(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, notes = optimization_weights(x)
+    np.testing.assert_array_equal(w, [0.5, 0.5])
+    assert len(notes) == 1 and "all plans identical" in notes[0]
 
 
 def test_entropy_weights_hand_case():
@@ -69,16 +74,8 @@ def test_entropy_weights_hand_case():
     x = np.zeros((2, 2, 4))
     x[:, 0, :] = [[1, 1, 1, 1], [1, 1, 1, 1]]
     x[:, 1, :] = [[9, 9, 9, 9], [1, 1, 1, 1]]
-    w = entropy_weights(x, 1)
+    w = entropy_weight_table(x)[0][0]
     np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
-
-
-def test_entropy_weights_component_bounds():
-    x = np.ones((2, 2, 4))
-    with pytest.raises(ValidationError):
-        entropy_weights(x, 0)
-    with pytest.raises(ValidationError):
-        entropy_weights(x, 5)
 
 
 def test_entropy_weights_zero_column_gets_zero_weight():
@@ -87,21 +84,26 @@ def test_entropy_weights_zero_column_gets_zero_weight():
     x = np.zeros((2, 2, 4))
     x[:, 0, :] = [[0, 1, 1, 1], [0, 2, 2, 2]]  # component 1 all zero
     x[:, 1, :] = [[9, 9, 9, 9], [1, 1, 1, 1]]
-    w = entropy_weights(x, 1)
+    w = entropy_weight_table(x)[0][0]
     np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
 
 
-def test_entropy_weights_flat_matrix_warns_uniform():
-    x = np.ones((3, 4, 4))
-    with pytest.warns(UserWarning):
-        w = entropy_weights(x, 2)
-    np.testing.assert_allclose(w, np.full(4, 0.25))
+def test_entropy_weight_table_fallbacks_are_notes():
+    # flat columns and a single plan carry no dispersion: every component
+    # falls back to uniform weights with one note each, and nothing warns
+    for x, reason in ((np.ones((3, 4, 4)), "flat"), (np.ones((1, 4, 4)), "single plan")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, notes = entropy_weight_table(x)
+        np.testing.assert_array_equal(table, np.full((4, 4), 0.25))
+        assert len(notes) == 4 and all(reason in note for note in notes)
 
 
 def test_entropy_weight_table_shape_and_sums():
     rng = np.random.default_rng(3)
     x = random_generalized_matrix(rng, 5, 6)
-    table = entropy_weight_table(x)
+    table, notes = entropy_weight_table(x)
+    assert notes == []
     assert table.shape == (4, 6)
     np.testing.assert_allclose(table.sum(axis=1), np.ones(4), atol=1e-9)
     assert (table >= 0).all()
@@ -112,13 +114,12 @@ def test_entropy_weights_permutation_equivariant():
     x = random_generalized_matrix(rng, 5, 4)
     plan_perm = rng.permutation(5)
     attr_perm = rng.permutation(4)
-    for k in range(1, 5):
-        base = entropy_weights(x, k)
-        # reordering plans changes nothing; reordering attributes permutes the weights
-        np.testing.assert_allclose(entropy_weights(x[plan_perm], k), base, atol=1e-12)
-        np.testing.assert_allclose(
-            entropy_weights(x[:, attr_perm], k), base[attr_perm], atol=1e-12
-        )
+    base = entropy_weight_table(x)[0]
+    # reordering plans changes nothing; reordering attributes permutes the weights
+    np.testing.assert_allclose(entropy_weight_table(x[plan_perm])[0], base, atol=1e-12)
+    np.testing.assert_allclose(
+        entropy_weight_table(x[:, attr_perm])[0], base[:, attr_perm], atol=1e-12
+    )
 
 
 def test_comprehensive_objective_envelope():
@@ -186,6 +187,6 @@ def test_optimization_weights_scale_invariant(n, m, seed):
     c = deviation_totals(x)
     if c.sum() <= 0:
         return
-    base = optimization_weights(x)
-    scaled = optimization_weights(x * 3.7)
+    base, _ = optimization_weights(x)
+    scaled, _ = optimization_weights(x * 3.7)
     np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
