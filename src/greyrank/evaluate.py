@@ -160,7 +160,10 @@ def incidence_coefficients(d: np.ndarray, rho: float = 0.5) -> np.ndarray:
     d_max = float(d.max())
     if d_max <= 0:
         return np.ones_like(d)
-    d_min = float(d.min())
+    # The formula is scale-free. An exact power of two puts d_max in [1, 2),
+    # so rho * d_max >= rho > 0 however small rho is.
+    d = np.ldexp(d, 1 - np.frexp(d_max)[1])
+    d_min, d_max = float(d.min()), float(d.max())
     return (d_min + rho * d_max) / (d + rho * d_max)
 
 
@@ -195,10 +198,15 @@ def membership_degrees(gplus: np.ndarray, gminus: np.ndarray) -> MethodScores:
     """
     gplus = np.asarray(gplus, dtype=np.float64)
     gminus = np.asarray(gminus, dtype=np.float64)
+    # The ratio is scale-free per plan. An exact power of two puts the larger
+    # degree of each pair in [0.5, 1), so tiny degrees square without underflow.
+    e = -np.frexp(np.maximum(gplus, gminus))[1]
+    gplus, gminus = np.ldexp(gplus, e), np.ldexp(gminus, e)
     denom = gplus**2 + gminus**2
     if (denom <= 0).any():
         raise DegenerateProblemError(
-            "membership degree undefined: a plan has zero incidence against both ideals"
+            f"membership degree undefined: row {int(np.argmax(denom <= 0))} has zero "
+            "incidence against both ideals"
         )
     return MethodScores.from_scores("membership", gplus**2 / denom)
 

@@ -64,7 +64,10 @@ def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> 
                 f"attribute {spec.id!r}, row {bad}: cost column requires strictly "
                 f"positive values, got {lo[bad]}"
             )
-        # An overflowing reciprocal is reported by normalize_matrix, located.
+        # The rule is scale-free; an exact power of two keeps the reciprocals of
+        # tiny values finite. One that still overflows is located by normalize_matrix.
+        e = -np.frexp(hi.max())[1]
+        lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             inv_lo_sum = (1.0 / lo).sum()
             inv_hi_sum = (1.0 / hi).sum()

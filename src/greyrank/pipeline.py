@@ -1,22 +1,22 @@
 """End-to-end pipeline: normalize, weight, score, aggregate.
 
 ``run_pipeline`` drives a validated :class:`~greyrank.problem.DecisionProblem`
-through the full chain and returns a :class:`Report` holding every
-intermediate table, so renderers and tests can inspect each stage.
+through the full chain and returns a :class:`Report`: the problem itself plus
+every table computed from it, so renderers and tests can inspect each stage.
+This module only computes; :mod:`greyrank.report` owns the output formats.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import BordaConfig, RankResult, weighted_borda
+from .aggregate import RankResult, weighted_borda
 from .errors import GreyrankError
 from .evaluate import (
     IdealVectors,
-    MethodParams,
     MethodScores,
     apply_weights,
     blend_preference,
@@ -49,15 +49,9 @@ def _stage(name: str):
 
 @dataclass
 class Report:
-    """Everything ``run_pipeline`` computed, in evaluation order."""
+    """The problem ``run_pipeline`` solved and every table it computed, in order."""
 
-    name: str
-    plans: list[str]
-    attributes: list  # list[AttributeSpec]
-    params: MethodParams
-    borda_config: BordaConfig
-    aliases: dict[str, str]
-    subjective_source: str
+    problem: DecisionProblem
     normalized: np.ndarray  # (n, m, 4)
     weights: WeightBundle
     weighted: np.ndarray  # (n, m, 4)
@@ -65,68 +59,11 @@ class Report:
     methods: list[MethodScores]
     incidence: dict  # gplus, gminus, beta1, beta2
     result: RankResult
-    notes: list[str] = field(default_factory=list)
-    problem_payload: dict = field(default_factory=dict)
+    notes: list[str]
 
     @property
     def final_order(self) -> list[str]:
-        return [self.plans[i] for i in self.result.order]
-
-    def to_dict(self) -> dict:
-        """A JSON-ready view of the whole report."""
-        return {
-            "schema": 1,
-            "name": self.name,
-            "plans": list(self.plans),
-            "attributes": [
-                {"id": a.id, "kind": a.kind, "direction": a.direction}
-                for a in self.attributes
-            ],
-            "params": {
-                "rho": self.params.rho,
-                "theta_plus": self.params.theta_plus,
-                "theta_minus": self.params.theta_minus,
-                "borda_weights": list(self.borda_config.method_weights),
-                "tie_break": self.borda_config.tie_break,
-            },
-            "linguistic_aliases": dict(sorted(self.aliases.items())),
-            "subjective_source": self.subjective_source,
-            "notes": list(self.notes),
-            "normalized": self.normalized.tolist(),
-            "weights": {
-                "alpha": self.weights.alpha.tolist(),
-                "beta_opt": self.weights.beta_opt.tolist(),
-                "beta_ent": self.weights.beta_ent.tolist(),
-                "beta_interval": self.weights.beta_interval.tolist(),
-                "final": self.weights.w_final.tolist(),
-            },
-            "weighted": self.weighted.tolist(),
-            "ideal_vectors": {
-                "positive": self.ideals.positive.tolist(),
-                "negative": self.ideals.negative.tolist(),
-            },
-            "incidence": {
-                "gplus": self.incidence["gplus"].tolist(),
-                "gminus": self.incidence["gminus"].tolist(),
-                "beta1": float(self.incidence["beta1"]),
-                "beta2": float(self.incidence["beta2"]),
-            },
-            "methods": [
-                {
-                    "method": ms.method,
-                    "scores": ms.scores.tolist(),
-                    "ranks": ms.ranks.tolist(),
-                }
-                for ms in self.methods
-            ],
-            "borda": {
-                "scores": self.result.borda_scores.tolist(),
-                "tiebreak": self.result.tiebreak_scores.tolist(),
-                "final_ranks": self.result.final_ranks.tolist(),
-            },
-            "final_ranking": self.final_order,
-            "problem": self.problem_payload,
-        }
+        return [self.problem.plans[i] for i in self.result.order]
 
 
 def run_pipeline(problem: DecisionProblem) -> Report:
@@ -141,7 +78,6 @@ def run_pipeline(problem: DecisionProblem) -> Report:
         beta_interval = comprehensive_objective(beta_opt, beta_ent)
         w_final = final_weights(problem.subjective, beta_interval)
         bundle = WeightBundle(
-            alpha=problem.subjective,
             beta_opt=beta_opt,
             beta_ent=beta_ent,
             beta_interval=beta_interval,
@@ -158,13 +94,7 @@ def run_pipeline(problem: DecisionProblem) -> Report:
         result = weighted_borda(methods, problem.borda)
 
     return Report(
-        name=problem.name,
-        plans=list(problem.plans),
-        attributes=list(problem.attributes),
-        params=problem.params,
-        borda_config=problem.borda,
-        aliases=dict(problem.aliases),
-        subjective_source=problem.subjective_source,
+        problem=problem,
         normalized=x,
         weights=bundle,
         weighted=y,
@@ -173,5 +103,4 @@ def run_pipeline(problem: DecisionProblem) -> Report:
         incidence=incidence,
         result=result,
         notes=notes,
-        problem_payload=problem.payload,
     )

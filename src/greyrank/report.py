@@ -1,5 +1,6 @@
 """Render a pipeline :class:`~greyrank.pipeline.Report` as text, CSV, or JSON.
 
+The one module that knows the output formats, the json-report schema included.
 All three renderers are deterministic: the same report always produces the
 same bytes, so outputs can be diffed or checked into golden files.
 """
@@ -37,29 +38,29 @@ def _ranking_line(plans: list[str], ranks: np.ndarray) -> str:
 def render_text(report: Report) -> str:
     lines: list[str] = []
     out = lines.append
-    n = len(report.plans)
+    problem = report.problem
 
-    out(f"greyrank report: {report.name}")
-    out(f"plans: {n}   attributes: {len(report.attributes)}")
+    out(f"greyrank report: {problem.name}")
+    out(f"plans: {problem.n_plans}   attributes: {problem.n_attributes}")
     out("")
     out("parameters in force:")
-    out(f"  rho = {report.params.rho:g}")
+    out(f"  rho = {problem.params.rho:g}")
     out(
-        f"  theta_plus = {report.params.theta_plus:g}   "
-        f"theta_minus = {report.params.theta_minus:g}"
+        f"  theta_plus = {problem.params.theta_plus:g}   "
+        f"theta_minus = {problem.params.theta_minus:g}"
     )
     out(
         "  borda method weights = "
-        + ", ".join(f"{w:g}" for w in report.borda_config.method_weights)
+        + ", ".join(f"{w:g}" for w in problem.borda.method_weights)
     )
-    out(f"  tie break = {report.borda_config.tie_break}")
-    out(f"  subjective weights from: {report.subjective_source}")
-    if report.aliases:
-        pairs = ", ".join(f"{k!r} -> {v!r}" for k, v in sorted(report.aliases.items()))
+    out(f"  tie break = {problem.borda.tie_break}")
+    out(f"  subjective weights from: {problem.subjective_source}")
+    if problem.aliases:
+        pairs = ", ".join(f"{k!r} -> {v!r}" for k, v in sorted(problem.aliases.items()))
         out(f"  linguistic aliases: {pairs}")
     out(
         "  attribute directions: "
-        + ", ".join(f"{a.id}={a.direction}" for a in report.attributes)
+        + ", ".join(f"{a.id}={a.direction}" for a in problem.attributes)
     )
     if report.notes:
         out("notes:")
@@ -69,8 +70,8 @@ def render_text(report: Report) -> str:
 
     out("interval weights (subjective x objective):")
     out(f"  {'attribute':<12} {'alpha':>19} {'beta':>19} {'final':>19}")
-    for j, attr in enumerate(report.attributes):
-        a = report.weights.alpha[j]
+    for j, attr in enumerate(problem.attributes):
+        a = problem.subjective[j]
         b = report.weights.beta_interval[j]
         w = report.weights.w_final[j]
         out(
@@ -82,7 +83,7 @@ def render_text(report: Report) -> str:
     out("method scores (rows are plans):")
     header = f"  {'plan':<10}" + "".join(f"{ms.method:>16}" for ms in report.methods)
     out(header)
-    for i, plan in enumerate(report.plans):
+    for i, plan in enumerate(problem.plans):
         row = f"  {plan:<10}" + "".join(f"{_fmt(ms.scores[i]):>16}" for ms in report.methods)
         out(row)
     out("")
@@ -90,7 +91,7 @@ def render_text(report: Report) -> str:
     gp, gm = report.incidence["gplus"], report.incidence["gminus"]
     out("incidence degrees against the ideals:")
     out(f"  {'plan':<10}{'positive':>16}{'negative':>16}")
-    for i, plan in enumerate(report.plans):
+    for i, plan in enumerate(problem.plans):
         out(f"  {plan:<10}{_fmt(gp[i]):>16}{_fmt(gm[i]):>16}")
     out(
         "  max-entropy pair weights: "
@@ -100,12 +101,12 @@ def render_text(report: Report) -> str:
     out("")
 
     for ms in report.methods:
-        out(f"ranking ({ms.method}): " + _ranking_line(report.plans, ms.ranks))
+        out(f"ranking ({ms.method}): " + _ranking_line(problem.plans, ms.ranks))
     out("")
 
     out("weighted borda:")
     out(f"  {'plan':<10}{'borda':>12}{'tiebreak':>12}{'final rank':>12}")
-    for i, plan in enumerate(report.plans):
+    for i, plan in enumerate(problem.plans):
         out(
             f"  {plan:<10}{_fmt(report.result.borda_scores[i]):>12}"
             f"{_fmt(report.result.tiebreak_scores[i]):>12}"
@@ -120,22 +121,23 @@ def render_text(report: Report) -> str:
 def render_csv(report: Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    problem = report.problem
 
     def section(title: str) -> None:
         buf.write(f"# {title}\n")
 
     section("parameters")
     writer.writerow(["key", "value"])
-    writer.writerow(["name", report.name])
-    writer.writerow(["rho", repr(report.params.rho)])
-    writer.writerow(["theta_plus", repr(report.params.theta_plus)])
-    writer.writerow(["theta_minus", repr(report.params.theta_minus)])
+    writer.writerow(["name", problem.name])
+    writer.writerow(["rho", repr(problem.params.rho)])
+    writer.writerow(["theta_plus", repr(problem.params.theta_plus)])
+    writer.writerow(["theta_minus", repr(problem.params.theta_minus)])
     writer.writerow(
-        ["borda_weights", " ".join(repr(w) for w in report.borda_config.method_weights)]
+        ["borda_weights", " ".join(repr(w) for w in problem.borda.method_weights)]
     )
-    writer.writerow(["tie_break", report.borda_config.tie_break])
-    writer.writerow(["subjective_source", report.subjective_source])
-    for key, value in sorted(report.aliases.items()):
+    writer.writerow(["tie_break", problem.borda.tie_break])
+    writer.writerow(["subjective_source", problem.subjective_source])
+    for key, value in sorted(problem.aliases.items()):
         writer.writerow(["alias", f"{key} -> {value}"])
     for note in report.notes:
         writer.writerow(["note", note])
@@ -143,14 +145,14 @@ def render_csv(report: Report) -> str:
 
     section("attributes")
     writer.writerow(["id", "kind", "direction"])
-    for attr in report.attributes:
+    for attr in problem.attributes:
         writer.writerow([attr.id, attr.kind, attr.direction])
     buf.write("\n")
 
     section("normalized")
     writer.writerow(["plan", "attribute", "x1", "x2", "x3", "x4"])
-    for i, plan in enumerate(report.plans):
-        for j, attr in enumerate(report.attributes):
+    for i, plan in enumerate(problem.plans):
+        for j, attr in enumerate(problem.attributes):
             writer.writerow([plan, attr.id] + [_fmt(v) for v in report.normalized[i, j]])
     buf.write("\n")
 
@@ -160,8 +162,8 @@ def render_csv(report: Report) -> str:
          "beta_ent_1", "beta_ent_2", "beta_ent_3", "beta_ent_4",
          "beta_lo", "beta_hi", "w_lo", "w_hi"]
     )
-    for j, attr in enumerate(report.attributes):
-        a = report.weights.alpha[j]
+    for j, attr in enumerate(problem.attributes):
+        a = problem.subjective[j]
         b = report.weights.beta_interval[j]
         w = report.weights.w_final[j]
         writer.writerow(
@@ -173,7 +175,7 @@ def render_csv(report: Report) -> str:
 
     section("ideal_vectors")
     writer.writerow(["attribute", "bound", "y1", "y2", "y3", "y4"])
-    for j, attr in enumerate(report.attributes):
+    for j, attr in enumerate(problem.attributes):
         writer.writerow([attr.id, "positive"] + [_fmt(v) for v in report.ideals.positive[j]])
         writer.writerow([attr.id, "negative"] + [_fmt(v) for v in report.ideals.negative[j]])
     buf.write("\n")
@@ -181,7 +183,7 @@ def render_csv(report: Report) -> str:
     section("incidence")
     writer.writerow(["plan", "gplus", "gminus"])
     gp, gm = report.incidence["gplus"], report.incidence["gminus"]
-    for i, plan in enumerate(report.plans):
+    for i, plan in enumerate(problem.plans):
         writer.writerow([plan, _fmt(gp[i]), _fmt(gm[i])])
     writer.writerow(["beta1", _fmt(report.incidence["beta1"]), ""])
     writer.writerow(["beta2", _fmt(report.incidence["beta2"]), ""])
@@ -190,13 +192,13 @@ def render_csv(report: Report) -> str:
     for ms in report.methods:
         section(f"method {ms.method}")
         writer.writerow(["plan", "score", "rank"])
-        for i, plan in enumerate(report.plans):
+        for i, plan in enumerate(problem.plans):
             writer.writerow([plan, _fmt(ms.scores[i]), int(ms.ranks[i])])
         buf.write("\n")
 
     section("borda")
     writer.writerow(["plan", "borda_score", "tiebreak_score", "final_rank"])
-    for i, plan in enumerate(report.plans):
+    for i, plan in enumerate(problem.plans):
         writer.writerow(
             [plan, _fmt(report.result.borda_scores[i]),
              _fmt(report.result.tiebreak_scores[i]), int(report.result.final_ranks[i])]
@@ -212,7 +214,56 @@ def render_csv(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    problem = report.problem
+    doc = {
+        "schema": 1,
+        "name": problem.name,
+        "plans": problem.plans,
+        "attributes": [
+            {"id": a.id, "kind": a.kind, "direction": a.direction} for a in problem.attributes
+        ],
+        "params": {
+            "rho": problem.params.rho,
+            "theta_plus": problem.params.theta_plus,
+            "theta_minus": problem.params.theta_minus,
+            "borda_weights": list(problem.borda.method_weights),
+            "tie_break": problem.borda.tie_break,
+        },
+        "linguistic_aliases": problem.aliases,
+        "subjective_source": problem.subjective_source,
+        "notes": report.notes,
+        "normalized": report.normalized.tolist(),
+        "weights": {
+            "alpha": problem.subjective.tolist(),
+            "beta_opt": report.weights.beta_opt.tolist(),
+            "beta_ent": report.weights.beta_ent.tolist(),
+            "beta_interval": report.weights.beta_interval.tolist(),
+            "final": report.weights.w_final.tolist(),
+        },
+        "weighted": report.weighted.tolist(),
+        "ideal_vectors": {
+            "positive": report.ideals.positive.tolist(),
+            "negative": report.ideals.negative.tolist(),
+        },
+        "incidence": {
+            "gplus": report.incidence["gplus"].tolist(),
+            "gminus": report.incidence["gminus"].tolist(),
+            "beta1": float(report.incidence["beta1"]),
+            "beta2": float(report.incidence["beta2"]),
+        },
+        "methods": [
+            {"method": ms.method, "scores": ms.scores.tolist(), "ranks": ms.ranks.tolist()}
+            for ms in report.methods
+        ],
+        "borda": {
+            "scores": report.result.borda_scores.tolist(),
+            "tiebreak": report.result.tiebreak_scores.tolist(),
+            "final_ranks": report.result.final_ranks.tolist(),
+        },
+        "final_ranking": report.final_order,
+        "problem": problem.payload,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def emit_report(report: Report, fmt: str = "text") -> bytes:

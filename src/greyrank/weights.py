@@ -7,8 +7,9 @@ normalized matrix: a deviation-maximizing weight (each attribute in
 proportion to its total pairwise plan deviation) and four entropy weights
 (one per tuple component). Their coordinatewise envelope is the objective
 interval weight, and the final weight is the normalized interval product of
-subjective and objective. Both objective weightings return ``(weights,
-notes)``: a weighting without signal falls back to uniform, with a note.
+subjective and objective. :class:`WeightBundle` holds the derived weights, not
+``problem.subjective``. Both objective weightings return ``(weights, notes)``:
+a weighting without signal falls back to uniform, with a note.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from ._kernels import pairwise_deviation_sums
 from .errors import DegenerateProblemError, ValidationError
+from .evaluate import _check_matrix
 
 __all__ = [
     "WeightBundle",
@@ -53,17 +55,9 @@ def subjective_interval_weights(expert_vectors) -> np.ndarray:
     return _interval_rows(np.column_stack((v.min(axis=0), v.max(axis=0))))
 
 
-def _matrix(x: np.ndarray) -> np.ndarray:
-    """``x`` as a nonempty (n, m, 4) float array."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != 4 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValidationError(f"expected a nonempty (n, m, 4) matrix, got shape {x.shape}")
-    return x
-
-
 def deviation_totals(x: np.ndarray) -> np.ndarray:
     """Per-attribute sum of 4-D distances over all ordered plan pairs."""
-    return pairwise_deviation_sums(_matrix(x))
+    return pairwise_deviation_sums(_check_matrix(x))
 
 
 def optimization_weights(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -87,7 +81,7 @@ def entropy_weight_table(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     flat and all-zero columns get zero weight. A component whose columns are
     all weightless, and each component of a single plan, is uniform with a note.
     """
-    x = _matrix(x)
+    x = _check_matrix(x)
     n, m, _ = x.shape
     if (x < 0).any():
         raise ValidationError("entropy weights require nonnegative values")
@@ -145,10 +139,9 @@ def final_weights(alpha, beta) -> np.ndarray:
 
 @dataclass
 class WeightBundle:
-    """Every weight vector the pipeline derives, kept for reporting."""
+    """The weights the pipeline derives; the subjective ones are ``problem.subjective``."""
 
-    alpha: np.ndarray  # (m, 2) (lo, hi) rows, like beta_interval and w_final
-    beta_opt: np.ndarray
+    beta_opt: np.ndarray  # (m,)
     beta_ent: np.ndarray  # (4, m)
-    beta_interval: np.ndarray
+    beta_interval: np.ndarray  # (m, 2) (lo, hi) rows, like w_final
     w_final: np.ndarray

@@ -67,8 +67,8 @@ def _verdict(num: int, ok: bool, detail: str = "") -> None:
 
 
 def _method_order(report, ms) -> list[str]:
-    idx = sorted(range(len(report.plans)), key=lambda i: (ms.ranks[i], i))
-    return [report.plans[i] for i in idx]
+    idx = sorted(range(len(report.problem.plans)), key=lambda i: (ms.ranks[i], i))
+    return [report.problem.plans[i] for i in idx]
 
 
 def test_c1_reference_rank_reproduction():
@@ -284,7 +284,7 @@ def test_c6_generated_invariants():
         assert (np.diff(report.weighted, axis=2) >= -1e-12).all()
         for ms in report.methods:
             assert (ms.scores >= -1e-12).all() and (ms.scores <= 1 + 1e-12).all()
-        n = len(report.plans)
+        n = len(report.problem.plans)
         assert sorted(report.result.final_ranks) == list(range(1, n + 1))
         cases += 1
 

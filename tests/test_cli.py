@@ -182,6 +182,29 @@ def test_huge_benefit_column_is_not_zeroed(tmp_path, capsysbinary):
     assert scaled["methods"] == plain["methods"]
 
 
+def test_tiny_cost_column_is_normalized(tmp_path, capsysbinary):
+    # the cost rule does not depend on the column's scale either, so values
+    # whose reciprocals overflow must rank like the original
+    data = load_fighter_problem().payload
+    for row in data["matrix"]:
+        row[0] *= 1e-312
+    scaled = solve_json(capsysbinary, tmp_path, data)
+    plain = solve_json(capsysbinary, tmp_path, load_fighter_problem().payload)
+    np.testing.assert_allclose(scaled["normalized"], plain["normalized"], rtol=0, atol=1e-15)
+    assert [m["ranks"] for m in scaled["methods"]] == [m["ranks"] for m in plain["methods"]]
+    assert scaled["final_ranking"] == plain["final_ranking"]
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e-320, 5e-324])
+def test_tiny_rho_is_scored(tmp_path, capsysbinary, rho):
+    # rho * d_max must not underflow, nor the squared incidence degrees
+    data = load_fighter_problem().payload
+    data["params"]["rho"] = rho
+    report = solve_json(capsysbinary, tmp_path, data)
+    assert all(np.isfinite(m["scores"]).all() for m in report["methods"])
+    assert report["final_ranking"] == ["G2", "G5", "G1", "G3", "G4"]
+
+
 def test_huge_preference_is_scored(tmp_path, capsysbinary):
     # the scores do not depend on the scale of the weighted matrix, so a
     # preference tuple near 1e160 must not overflow the squared distances

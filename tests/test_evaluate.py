@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyrank import MethodParams, ValidationError
+from greyrank import DegenerateProblemError, MethodParams, ValidationError
 from greyrank._kernels import distance_grid
 from greyrank.evaluate import (
     apply_weights,
@@ -183,6 +183,19 @@ def test_approach_degree_hand_cases():
 def test_membership_hand_case():
     ms = membership_degrees(np.array([0.8]), np.array([0.4]))
     assert ms.scores[0] == pytest.approx(0.64 / (0.64 + 0.16))
+
+
+def test_membership_zero_pair_names_its_row():
+    with pytest.raises(DegenerateProblemError, match="row 1"):
+        membership_degrees([0.5, 0.0], [0.5, 0.0])
+
+
+def test_membership_of_tiny_degrees_is_scale_free():
+    # squaring 1e-200 underflows; the ratio must not
+    np.testing.assert_allclose(
+        membership_degrees([3e-200, 1e-200], [1e-200, 3e-200]).scores,
+        membership_degrees([3.0, 1.0], [1.0, 3.0]).scores,
+    )
 
 
 def test_membership_matches_grid_minimizer():

@@ -45,6 +45,13 @@ def test_deviation_totals_match_brute_force():
     )
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 4), (3, 3), (3, 3, 2)])
+def test_objective_weights_reject_bad_matrix_shapes(shape):
+    for weigh in (optimization_weights, entropy_weight_table):
+        with pytest.raises(ValidationError, match="nonempty"):
+            weigh(np.zeros(shape))
+
+
 def test_optimization_weights_normalizations():
     rng = np.random.default_rng(11)
     x = random_generalized_matrix(rng, 4, 3)
@@ -164,10 +171,13 @@ def test_final_weights_degenerate_zero_denominator():
 
 
 def test_pipeline_weight_bundle_shapes():
-    bundle = run_pipeline(load_fighter_problem()).weights
+    problem = load_fighter_problem()
+    report = run_pipeline(problem)
+    assert report.problem is problem  # the report holds the problem, not a copy
+    bundle = report.weights
     assert bundle.beta_opt.shape == (9,)
     assert bundle.beta_ent.shape == (4, 9)
-    assert bundle.alpha.shape == (9, 2)
+    assert report.problem.subjective.shape == (9, 2)
     assert bundle.beta_interval.shape == (9, 2)
     assert bundle.w_final.shape == (9, 2)
     lo, hi = bundle.w_final.T
