@@ -172,6 +172,27 @@ def incidence_degrees(coefficients: np.ndarray) -> np.ndarray:
     return _check_matrix(coefficients, 2).mean(axis=1)
 
 
+def _scaled_pairs(
+    gplus: np.ndarray, gminus: np.ndarray, degree: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each plan's (G+, G-) pair scaled by 2^-e of its larger entry.
+
+    The two ratio scores are scale-free per plan. An exact power of two puts
+    the larger degree of each pair in [0.5, 1), so tiny degrees neither
+    underflow in products nor square to zero. An all-zero pair is named.
+    """
+    gplus = np.asarray(gplus, dtype=np.float64)
+    gminus = np.asarray(gminus, dtype=np.float64)
+    peak = np.maximum(gplus, gminus)
+    if (peak <= 0).any():
+        raise DegenerateProblemError(
+            f"{degree} undefined: row {int(np.argmax(peak <= 0))} has zero "
+            "incidence against both ideals"
+        )
+    e = -np.frexp(peak)[1]
+    return np.ldexp(gplus, e), np.ldexp(gminus, e)
+
+
 def approach_with_preference(
     gplus: np.ndarray, gminus: np.ndarray, params: MethodParams | None = None
 ) -> MethodScores:
@@ -181,10 +202,9 @@ def approach_with_preference(
     theta_plus=1 returns G+ itself (the ratio would degenerate to 1).
     """
     params = params or MethodParams()
-    gplus = np.asarray(gplus, dtype=np.float64)
-    gminus = np.asarray(gminus, dtype=np.float64)
     if params.theta_minus == 0.0:
-        return MethodScores.from_scores("grey-approach", gplus.copy())
+        return MethodScores.from_scores("grey-approach", np.array(gplus, dtype=np.float64))
+    gplus, gminus = _scaled_pairs(gplus, gminus, "grey approach degree")
     num = gplus * params.theta_plus
     den = num + gminus * params.theta_minus
     return MethodScores.from_scores("grey-approach", num / den)
@@ -196,18 +216,8 @@ def membership_degrees(gplus: np.ndarray, gminus: np.ndarray) -> MethodScores:
     This is the exact minimizer of the squared-residual objective that scores
     u against G+ and (1 - u) against G-.
     """
-    gplus = np.asarray(gplus, dtype=np.float64)
-    gminus = np.asarray(gminus, dtype=np.float64)
-    # The ratio is scale-free per plan. An exact power of two puts the larger
-    # degree of each pair in [0.5, 1), so tiny degrees square without underflow.
-    e = -np.frexp(np.maximum(gplus, gminus))[1]
-    gplus, gminus = np.ldexp(gplus, e), np.ldexp(gminus, e)
+    gplus, gminus = _scaled_pairs(gplus, gminus, "membership degree")
     denom = gplus**2 + gminus**2
-    if (denom <= 0).any():
-        raise DegenerateProblemError(
-            f"membership degree undefined: row {int(np.argmax(denom <= 0))} has zero "
-            "incidence against both ideals"
-        )
     return MethodScores.from_scores("membership", gplus**2 / denom)
 
 

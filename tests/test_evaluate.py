@@ -180,6 +180,22 @@ def test_approach_degree_hand_cases():
     np.testing.assert_allclose(biased.scores, gplus)
 
 
+def test_approach_degree_of_tiny_degrees_is_scale_free():
+    # G * theta underflows to 0 on both sides of the ratio; the ratio must not
+    params = MethodParams(theta_plus=0.3, theta_minus=0.7)
+    np.testing.assert_array_equal(approach_with_preference([5e-324], [5e-324]).scores, [0.5])
+    tiny = 2.0**-1070
+    np.testing.assert_allclose(
+        approach_with_preference([3 * tiny, tiny], [tiny, 3 * tiny], params).scores,
+        approach_with_preference([3.0, 1.0], [1.0, 3.0], params).scores,
+    )
+
+
+def test_approach_degree_zero_pair_names_its_row():
+    with pytest.raises(DegenerateProblemError, match="row 0"):
+        approach_with_preference([0.0, 0.5], [0.0, 0.5])
+
+
 def test_membership_hand_case():
     ms = membership_degrees(np.array([0.8]), np.array([0.4]))
     assert ms.scores[0] == pytest.approx(0.64 / (0.64 + 0.16))
