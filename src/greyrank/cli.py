@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import DegenerateProblemError, ValidationError
 from .pipeline import run_pipeline
-from .problem import _load_document, parse_problem_dict
+from .problem import DecisionProblem, _load_document, parse_problem_dict
 from .report import FORMATS, emit_report
 
 __all__ = ["main", "build_parser"]
@@ -54,42 +55,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_borda_weights(text: str) -> list[float]:
+def _parse_borda_weights(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValidationError(
             f"--borda-weights needs exactly 4 comma-separated values, got {len(parts)}"
         )
     try:
-        return [float(p) for p in parts]
+        return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"--borda-weights: {exc}") from exc
 
 
-def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
-    """Fold CLI flags into the problem document before validation.
-
-    Overriding the document (rather than the parsed problem) keeps the
-    params echoed in reports consistent with what actually ran, so a
-    json-report fed back through ``solve`` reproduces the same ranking.
-    """
-    if not isinstance(data, dict):
-        return data
-    params = data.get("params")
-    if params is not None and not isinstance(params, dict):
-        return data  # parse_problem_dict rejects it: "params must be an object"
-    params = dict(params or {})
+def _apply_overrides(problem: DecisionProblem, args: argparse.Namespace) -> DecisionProblem:
+    """The parsed problem with the param flags in force. Reports echo its params,
+    so a json-report fed back through ``solve`` reproduces the ranking. The
+    file's own params are validated first, also those a flag replaces."""
+    changes, weights = {}, {}
     if args.rho is not None:
-        params["rho"] = args.rho
+        changes["rho"] = args.rho
     if args.theta_plus is not None:
-        params["theta_plus"] = args.theta_plus
-        params["theta_minus"] = 1.0 - args.theta_plus
+        changes.update(theta_plus=args.theta_plus, theta_minus=1.0 - args.theta_plus)
     if args.borda_weights is not None:
-        params["borda_weights"] = _parse_borda_weights(args.borda_weights)
-    if params:
-        data = dict(data)
-        data["params"] = params
-    return data
+        weights["method_weights"] = _parse_borda_weights(args.borda_weights)
+    try:
+        params, borda = replace(problem.params, **changes), replace(problem.borda, **weights)
+    except ValidationError as exc:
+        raise ValidationError(f"params: {exc}") from exc
+    return replace(problem, params=params, borda=borda)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
             # A json-report was produced by us; solve its embedded problem.
             data = data["problem"]
-        data = _apply_overrides(data, args)
-        problem = parse_problem_dict(data, source=args.file)
+        problem = _apply_overrides(parse_problem_dict(data, source=args.file), args)
+        del data  # the problem holds everything a report needs
         report = run_pipeline(problem)
         payload = emit_report(report, args.format)
     except ValidationError as exc:

@@ -207,7 +207,9 @@ def approach_with_preference(
     gplus, gminus = _scaled_pairs(gplus, gminus, "grey approach degree")
     num = gplus * params.theta_plus
     den = num + gminus * params.theta_minus
-    return MethodScores.from_scores("grey-approach", num / den)
+    # a zero numerator scores 0, also when a tiny theta_minus leaves den = 0
+    scores = np.divide(num, den, out=np.zeros_like(num), where=num > 0)
+    return MethodScores.from_scores("grey-approach", scores)
 
 
 def membership_degrees(gplus: np.ndarray, gminus: np.ndarray) -> MethodScores:

@@ -18,7 +18,7 @@ Problem files are JSON documents with ``"schema": 1``:
   ``borda_weights`` (4 values), ``tie_break``.
 * ``linguistic_aliases`` — optional extra label spellings, mapped onto the
   canonical 11-term scale.
-* ``name``, ``notes`` — optional free text.
+* ``name``, ``notes`` — optional free text; either must be a string.
 
 Every violation is reported with the plan/attribute location that caused it.
 The matrix is validated cell by cell and stored as one float array of bounds,
@@ -74,12 +74,16 @@ class DecisionProblem:
     attributes: list[AttributeSpec]
     raw: np.ndarray  # (n, m, 2) cell bounds; see the module docstring
     subjective: np.ndarray  # (m, 2) interval weights, (lo, hi) rows
-    subjective_source: str  # "experts" | "intervals"
+    experts: np.ndarray | None  # (k, m) expert vectors, or None for given intervals
     preferences: np.ndarray  # (n, 4)
     params: MethodParams
     borda: BordaConfig
     aliases: dict[str, str]
-    payload: dict  # a JSON snapshot of the problem document, echoed into reports
+    notes: str | None
+
+    @property
+    def subjective_source(self) -> str:
+        return "intervals" if self.experts is None else "experts"
 
     @property
     def n_plans(self) -> int:
@@ -194,7 +198,8 @@ def _parse_aliases(data) -> dict[str, str]:
     return aliases
 
 
-def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, str]:
+def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (m, 2) interval weights, and the expert vectors they come from, if any."""
     _require(isinstance(data, dict), "subjective_weights must be an object")
     m = len(ids)
     keys = set(data)
@@ -220,7 +225,7 @@ def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, str]:
                 )
                 row.append(w)
             rows.append(row)
-        return subjective_interval_weights(rows), "experts"
+        return subjective_interval_weights(rows), np.array(rows, dtype=np.float64)
     if keys == {"intervals"}:
         intervals = data["intervals"]
         _require(
@@ -240,7 +245,7 @@ def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, str]:
                 f"{where}: requires finite 0 <= lo <= hi, got [{lo}, {hi}]",
             )
             rows.append((lo, hi))
-        return np.array(rows, dtype=np.float64), "intervals"
+        return np.array(rows, dtype=np.float64), None
     raise ValidationError(
         "subjective_weights must contain exactly one of 'experts' or 'intervals'"
     )
@@ -331,7 +336,9 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
             bounds.extend(_parse_cell(cell, attributes[j].kind, aliases, where))
 
     _require("subjective_weights" in data, "subjective_weights is required")
-    subjective, subjective_source = _parse_subjective(data["subjective_weights"], ids)
+    subjective, experts = _parse_subjective(data["subjective_weights"], ids)
+    # all lower bounds zero make the composite weights' lower sum zero
+    _require((subjective[:, 0] > 0).any(), "subjective_weights: every lower bound is zero")
 
     prefs_raw = data.get("preferences")
     _require(
@@ -348,12 +355,8 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
 
     name = data.get("name", Path(source).stem if source else "problem")
     _require(isinstance(name, str), "name must be a string")
-
-    # The report echo is a JSON round trip: a deep copy, cheaper than copy.deepcopy.
-    try:
-        payload = json.loads(json.dumps(data))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"problem document holds a value JSON cannot encode: {exc}") from None
+    notes = data.get("notes")
+    _require("notes" not in data or isinstance(notes, str), "notes must be a string")
 
     return DecisionProblem(
         name=name,
@@ -361,12 +364,12 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         attributes=attributes,
         raw=np.array(bounds, dtype=np.float64).reshape(n, m, 2),
         subjective=subjective,
-        subjective_source=subjective_source,
+        experts=experts,
         preferences=prefs,
         params=params,
         borda=borda,
         aliases=aliases,
-        payload=payload,
+        notes=notes,
     )
 
 

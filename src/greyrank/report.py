@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .pipeline import Report
+from .problem import DecisionProblem
+from .values import DEFAULT_ALIASES, canonical_labels, term_index
 
 __all__ = ["FORMATS", "emit_report", "render_text", "render_csv", "render_json"]
 
@@ -213,6 +215,20 @@ def render_csv(report: Report) -> str:
     return buf.getvalue()
 
 
+def _matrix_rows(problem: DecisionProblem) -> list:
+    """Matrix cells from ``raw``; a term as the first label, canonical first, that parses to it."""
+    spellings = canonical_labels() + sorted(DEFAULT_ALIASES) + sorted(problem.aliases)
+    name = {term_index(s, problem.aliases): s for s in reversed(spellings)}
+    column = {  # term indices are floats; they hash like the int keys of name
+        "real": lambda col: [lo for lo, _ in col],
+        "interval": lambda col: [{"interval": pair} for pair in col],
+        "linguistic": lambda col: [{"ling": name[lo]} for lo, _ in col],
+        "uncertain-linguistic": lambda col: [{"uncertain": [name[lo], name[hi]]} for lo, hi in col],
+    }
+    cols = problem.raw.transpose(1, 0, 2).tolist()
+    return list(zip(*(column[a.kind](col) for a, col in zip(problem.attributes, cols))))
+
+
 def render_json(report: Report) -> str:
     problem = report.problem
     doc = {
@@ -261,8 +277,17 @@ def render_json(report: Report) -> str:
             "final_ranks": report.result.final_ranks.tolist(),
         },
         "final_ranking": report.final_order,
-        "problem": problem.payload,
     }
+    # The problem as a document that solve parses back to an equal problem.
+    echo = {key: doc[key] for key in
+            ("schema", "name", "plans", "attributes", "params", "linguistic_aliases")}
+    given = problem.subjective if problem.experts is None else problem.experts
+    echo["subjective_weights"] = {problem.subjective_source: given.tolist()}
+    echo["matrix"] = _matrix_rows(problem)
+    echo["preferences"] = problem.preferences.tolist()
+    if problem.notes is not None:
+        echo["notes"] = problem.notes
+    doc["problem"] = echo
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -63,7 +63,10 @@ def deviation_totals(x: np.ndarray) -> np.ndarray:
 def optimization_weights(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Deviation-maximizing weights renormalized to sum to one, and notes;
     uniform, with one note, when all plans are identical."""
-    totals = deviation_totals(x)
+    # The weights are a ratio of totals, so an exact power of two cancels; it
+    # keeps the squared distances of huge entries finite.
+    x = _check_matrix(x)
+    totals = deviation_totals(np.ldexp(x, -np.frexp(np.abs(x).max())[1]))
     total = float(totals.sum())
     if total <= 0:
         return np.full(len(totals), 1.0 / len(totals)), [

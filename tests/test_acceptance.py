@@ -42,6 +42,7 @@ from oracles import (
     projected_ascent_beta,
     random_generalized_matrix,
 )
+from test_problem_io import fighter_document
 
 REFERENCE_ORDERS = {
     "topsis": ["G2", "G5", "G1", "G4", "G3"],
@@ -320,7 +321,7 @@ def test_c6_generated_invariants():
 
 
 def test_c7_cli_contract(tmp_path, capsysbinary):
-    fighter = load_fighter_problem().payload
+    fighter = fighter_document()
     good = tmp_path / "fighter.json"
     good.write_text(json.dumps(fighter), encoding="utf-8")
 

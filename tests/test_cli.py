@@ -1,14 +1,15 @@
 import copy
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from greyrank import load_fighter_problem
+from greyrank import DecisionProblem, parse_problem, parse_problem_dict
 from greyrank.cli import main
 
-from test_problem_io import MINIMAL
+from test_problem_io import MINIMAL, fighter_document
 
 
 @pytest.fixture()
@@ -68,6 +69,44 @@ def test_json_report_round_trips(toy_file, tmp_path, capsysbinary):
     assert second["borda"] == first["borda"]
 
 
+def _shadowed_aliases():
+    # "general" now means "high"; index 0 stays reachable through "middling"
+    data = fighter_document()
+    data["linguistic_aliases"] = {"General": "high", "middling": "general"}
+    data["matrix"][0][5] = {"ling": "Middling"}
+    data["matrix"][3][7] = {"uncertain": ["middling", "very high"]}
+    return data
+
+
+def _unnamed_minimal():
+    data = copy.deepcopy(MINIMAL)
+    del data["name"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "make", [fighter_document, _shadowed_aliases, _unnamed_minimal],
+    ids=["fighter", "fighter-aliases", "minimal-experts"],
+)
+def test_json_report_echo_parses_to_an_equal_problem(tmp_path, capsysbinary, make):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(make()), encoding="utf-8")
+    rc, first, _ = run(capsysbinary, "solve", path, "--format", "json-report")
+    assert rc == 0
+    report_file = tmp_path / "report.json"
+    report_file.write_bytes(first)
+    rc, second, _ = run(capsysbinary, "solve", report_file, "--format", "json-report")
+    assert rc == 0 and second == first
+    original = parse_problem(path)
+    echoed = parse_problem_dict(json.loads(first)["problem"])
+    for field in dataclasses.fields(DecisionProblem):
+        want, got = getattr(original, field.name), getattr(echoed, field.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
+
+
 def test_out_flag_writes_file(toy_file, tmp_path, capsysbinary):
     target = tmp_path / "report.txt"
     rc, out, _ = run(capsysbinary, "solve", toy_file, "--out", target)
@@ -86,6 +125,17 @@ def test_param_flags_override_file(toy_file, capsysbinary):
     assert params["rho"] == 0.4
     assert params["theta_plus"] == 0.8
     assert params["theta_minus"] == pytest.approx(0.2)
+    assert json.loads(out)["problem"]["params"] == params
+
+
+def test_flag_does_not_hide_invalid_file_params(tmp_path, capsysbinary):
+    data = copy.deepcopy(MINIMAL)
+    data["params"] = {"rho": 1.5}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path, "--rho", "0.4")
+    assert rc == 2 and out == b""
+    assert err.startswith(b"greyrank: error: params: rho")
 
 
 def test_borda_weights_flag(toy_file, capsysbinary):
@@ -150,7 +200,7 @@ def test_degenerate_problem_exits_3(tmp_path, capsysbinary):
 def test_non_finite_normalized_value_is_located(tmp_path, capsysbinary):
     # 1 / 5e-324 overflows, so the cost column normalizes to NaN; the located
     # error is the only line on stderr
-    data = load_fighter_problem().payload
+    data = fighter_document()
     data["matrix"][2][0] = 5e-324
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -173,11 +223,11 @@ def solve_json(capsysbinary, tmp_path, data):
 def test_huge_benefit_column_is_not_zeroed(tmp_path, capsysbinary):
     # the benefit rule does not depend on the column's scale, so an interval
     # column near the float maximum normalizes exactly like the original
-    data = load_fighter_problem().payload
+    data = fighter_document()
     for row in data["matrix"]:
         row[2] = {"interval": [v * 2.0**1015 for v in row[2]["interval"]]}
     scaled = solve_json(capsysbinary, tmp_path, data)
-    plain = solve_json(capsysbinary, tmp_path, load_fighter_problem().payload)
+    plain = solve_json(capsysbinary, tmp_path, fighter_document())
     assert scaled["normalized"] == plain["normalized"]
     assert scaled["methods"] == plain["methods"]
 
@@ -185,11 +235,11 @@ def test_huge_benefit_column_is_not_zeroed(tmp_path, capsysbinary):
 def test_tiny_cost_column_is_normalized(tmp_path, capsysbinary):
     # the cost rule does not depend on the column's scale either, so values
     # whose reciprocals overflow must rank like the original
-    data = load_fighter_problem().payload
+    data = fighter_document()
     for row in data["matrix"]:
         row[0] *= 1e-312
     scaled = solve_json(capsysbinary, tmp_path, data)
-    plain = solve_json(capsysbinary, tmp_path, load_fighter_problem().payload)
+    plain = solve_json(capsysbinary, tmp_path, fighter_document())
     np.testing.assert_allclose(scaled["normalized"], plain["normalized"], rtol=0, atol=1e-15)
     assert [m["ranks"] for m in scaled["methods"]] == [m["ranks"] for m in plain["methods"]]
     assert scaled["final_ranking"] == plain["final_ranking"]
@@ -198,7 +248,7 @@ def test_tiny_cost_column_is_normalized(tmp_path, capsysbinary):
 @pytest.mark.parametrize("rho", [1e-300, 1e-320, 5e-324])
 def test_tiny_rho_is_scored(tmp_path, capsysbinary, rho):
     # rho * d_max must not underflow, nor the squared incidence degrees
-    data = load_fighter_problem().payload
+    data = fighter_document()
     data["params"]["rho"] = rho
     report = solve_json(capsysbinary, tmp_path, data)
     assert all(np.isfinite(m["scores"]).all() for m in report["methods"])
@@ -208,14 +258,14 @@ def test_tiny_rho_is_scored(tmp_path, capsysbinary, rho):
 def test_huge_preference_is_scored(tmp_path, capsysbinary):
     # the scores do not depend on the scale of the weighted matrix, so a
     # preference tuple near 1e160 must not overflow the squared distances
-    data = load_fighter_problem().payload
+    data = fighter_document()
     data["preferences"][3] = [0, 0.1, 0.2, 1e160]
     report = solve_json(capsysbinary, tmp_path, data)
     assert report["final_ranking"] == ["G4", "G2", "G5", "G1", "G3"]
 
 
 def test_negative_preference_is_located(tmp_path, capsysbinary):
-    data = load_fighter_problem().payload
+    data = fighter_document()
     data["preferences"][3] = [-1, 0, 0, 1]
     path = tmp_path / "negative.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -230,7 +280,7 @@ def test_huge_subjective_weights_keep_lower_bounds(tmp_path, capsysbinary):
     # so weights near the float maximum must give those of a unit scale
     finals = []
     for pair in ([1e308, 1.7e308], [1.0, 1.7]):
-        data = load_fighter_problem().payload
+        data = fighter_document()
         data["subjective_weights"] = {"intervals": [pair] * 9}
         path = tmp_path / "weights.json"
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -240,6 +290,31 @@ def test_huge_subjective_weights_keep_lower_bounds(tmp_path, capsysbinary):
         assert rc == 0 and err == b""
         finals.append(json.loads(out)["weights"]["final"])
     np.testing.assert_allclose(finals[0], finals[1], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{"intervals": [[0, 0]] * 9}, {"intervals": [[0, 0.5]] * 9},
+     {"experts": [[0] * 9, [0] * 9]}],
+    ids=["zero-intervals", "zero-lower-bounds", "zero-experts"],
+)
+def test_zero_subjective_lower_bounds_exit_2(tmp_path, capsysbinary, weights):
+    data = fighter_document()
+    data["subjective_weights"] = weights
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 2 and out == b""
+    assert err.startswith(b"greyrank: error: subjective_weights: ")
+
+
+def test_huge_interval_spread_does_not_overflow_deviation(tmp_path, capsysbinary):
+    # the benefit rule puts a value near 1e305 in A3, whose squared
+    # deviations would overflow without scaling
+    data = fighter_document()
+    data["matrix"][4][2] = {"interval": [1e-310, 1.7e308]}
+    report = solve_json(capsysbinary, tmp_path, data)
+    assert report["final_ranking"] == ["G5", "G1", "G2", "G3", "G4"]
 
 
 def test_identical_plans_still_rank(tmp_path, capsysbinary):

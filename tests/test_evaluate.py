@@ -191,6 +191,13 @@ def test_approach_degree_of_tiny_degrees_is_scale_free():
     )
 
 
+def test_approach_degree_of_zero_incidence_is_zero():
+    # G- * theta_minus underflows to 0, so a plan with G+ = 0 would score 0/0
+    params = MethodParams(theta_plus=1.0, theta_minus=5e-324)
+    scores = approach_with_preference([0.0, 0.9], [0.5, 0.3], params).scores
+    np.testing.assert_array_equal(scores, [0.0, 1.0])
+
+
 def test_approach_degree_zero_pair_names_its_row():
     with pytest.raises(DegenerateProblemError, match="row 0"):
         approach_with_preference([0.0, 0.5], [0.0, 0.5])

@@ -33,6 +33,11 @@ MINIMAL = {
 }
 
 
+def fighter_document() -> dict:
+    """A fresh copy of the bundled fighter problem document."""
+    return json.loads(fighter_problem_path().read_text(encoding="utf-8"))
+
+
 def toy(**changes):
     data = copy.deepcopy(MINIMAL)
     data.update(changes)
@@ -201,16 +206,26 @@ def test_bad_subjective_interval_names_attribute_once(pair):
     assert message.count("subjective weight") == 1
 
 
-def test_payload_is_a_snapshot():
-    document = json.loads(fighter_problem_path().read_text(encoding="utf-8"))
+def test_report_echo_is_built_from_the_problem():
+    document = fighter_document()
     data = copy.deepcopy(document)
     problem = parse_problem_dict(data)
+    # the echo does not see changes the caller makes to its dict after parse
     data["matrix"][0][0] = 1.0
+    data["matrix"][1][5]["ling"] = "low"
+    data["subjective_weights"]["intervals"][0][0] = 0.9
     data["name"] = "changed"
-    report = json.loads(emit_report(run_pipeline(problem), "json-report"))
-    assert report["problem"] == document
-    # a value JSON cannot encode is a validation error, not a TypeError
-    with pytest.raises(ValidationError, match="JSON"):
+    data["notes"] = "changed"
+    echo = json.loads(emit_report(run_pipeline(problem), "json-report"))["problem"]
+    fresh = parse_problem_dict(document)
+    assert echo == json.loads(emit_report(run_pipeline(fresh), "json-report"))["problem"]
+    assert echo["name"] == document["name"] and echo["notes"] == document["notes"]
+    # canonical cells: a real is a float, term labels are canonical
+    assert echo["matrix"][0][0] == 3610.0 and echo["matrix"][1][5] == {"ling": "high"}
+    assert echo["matrix"][0][6] == {"ling": "comparatively high"}
+    assert echo["subjective_weights"] == document["subjective_weights"]
+    assert echo["params"] == document["params"]
+    with pytest.raises(ValidationError, match="notes must be a string"):
         parse_problem_dict(dict(document, notes={1, 2}))
 
 

@@ -7,14 +7,19 @@ read and executed here without writing anything next to it.
 
 from pathlib import Path
 
-from greyrank import cli, fighter_problem_path
+from greyrank import cli, fighter_problem_path, parse_problem
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
-def test_perfbench_traced_names_resolve():
+def _child_namespace() -> dict:
     namespace = {"__name__": "perfbench_child", "__file__": str(CHILD)}
     exec(compile(CHILD.read_text(encoding="utf-8"), str(CHILD), "exec"), namespace)
+    return namespace
+
+
+def test_perfbench_traced_names_resolve():
+    namespace = _child_namespace()
     assert namespace["TRACED"]
     for module, name, metric in namespace["TRACED"]:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name} ({metric})"
@@ -24,8 +29,7 @@ def test_perfbench_traced_names_resolve():
 def test_traced_names_called_per_solve(tmp_path, monkeypatch):
     # a renamed or bypassed call would read as 0 ms in a trace; each name the
     # tracer wraps must be the one a solve actually calls
-    namespace = {"__name__": "perfbench_child", "__file__": str(CHILD)}
-    exec(compile(CHILD.read_text(encoding="utf-8"), str(CHILD), "exec"), namespace)
+    namespace = _child_namespace()
     calls = {}
 
     def counting(key, fn):
@@ -40,3 +44,13 @@ def test_traced_names_called_per_solve(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
     assert cli.main(["solve", str(fighter_problem_path()), "--out", str(tmp_path / "r")]) == 0
     assert all(calls.values()), {key: n for key, n in calls.items() if not n}
+
+
+def test_perfbench_problem_counts_read_a_parsed_problem():
+    # --trace 1 counts plans, attributes and cells of each kind off the parse result
+    problem_counts = _child_namespace()["RESULT_COUNTS"]["problem.parse_ms"]
+    counts = problem_counts(parse_problem(fighter_problem_path()))
+    assert counts == {
+        "n_plans": 5, "n_attributes": 9, "cells.real": 10, "cells.interval": 15,
+        "cells.linguistic": 10, "cells.uncertain": 10,
+    }
