@@ -1,12 +1,24 @@
-"""Numeric kernels: 4-D Euclidean distances between normalized 4-tuples.
+"""Numeric kernels: Euclidean distances between normalized 4-tuples.
 
-``distance_grid`` is the one place a 4-D distance is computed; the score
-stage builds one grid per ideal. ``pairwise_deviation_sums`` totals the
-distances over all plan pairs per attribute: crisp columns from their sorted
-gaps in O(n log n), all other columns through one batched upper-triangle
-distance grid built in blocks of a fixed element budget. That grid is
-quadratic in the number of plans and dominates runtime on large problems.
-``perfbench/run.py --trace 1`` times each kernel per solve (``kernels.*_ms``).
+``distance_grid`` is the one place a distance is computed; the score stage
+builds one grid per ideal. ``pairwise_deviation_sums`` totals the distances
+over all plan pairs per attribute. On a problem too large for one block of
+the pairwise grid, each column pays only for what it holds, detected from
+its values:
+
+* crisp columns (all four components equal) sum from their sorted gaps in
+  O(n log n);
+* columns with at most n/8 distinct tuples, as every normalized linguistic
+  (11 terms) and uncertain (66 term pairs) column on many plans, sum over
+  the grid of their distinct tuples weighted by their counts;
+* paired columns, (a, a, b, b) in every row as every normalized interval
+  column, sum over a grid of two components instead of four;
+* all other columns sum over the full 4-component grid.
+
+Every grid covers the upper triangle of pairs in blocks of a fixed element
+budget. The full grids are quadratic in the number of plans and dominate
+runtime on large problems. ``perfbench/run.py --trace 1`` times each kernel
+per solve (``kernels.*_ms``).
 """
 
 from __future__ import annotations
@@ -34,15 +46,22 @@ def pairwise_deviation_sums(x: np.ndarray) -> np.ndarray:
 
     ``x`` is a float array of shape (n, m, 4); the result has shape (m,).
 
-    A crisp column, whose four components are equal in every row, has
-    distance 2|a - b| between rows a and b. With its values sorted, the gap
-    g_k = v_(k) - v_(k-1) lies between k(n - k) unordered pairs, so the
-    column sums to 4 * sum_k k(n - k) g_k in O(n log n). Every gap is
-    nonnegative, so nothing cancels: the prefix-sum form of the same total,
-    4 * sum_k (2k - n + 1) v_(k), loses digits on near-constant columns.
-    All other columns go through ``_grid_sums``. When one block holds every
-    pair of every column, all columns do: on so small a problem the split
-    costs more numpy calls than it saves.
+    When one block holds every pair of every column (m·n² <= ``_SLAB``), all
+    columns go through ``_grid_sums``: on so small a problem a split costs
+    more numpy calls than it saves. Otherwise each column takes the first of
+    these rules that its values allow:
+
+    * crisp (all four components equal in every row): the distance between
+      rows a and b is 2|a - b|. With the values sorted, the gap
+      g_k = v_(k) - v_(k-1) lies between k(n - k) unordered pairs, so the
+      column sums to 4 * sum_k k(n - k) g_k in O(n log n). Every gap is
+      nonnegative, so nothing cancels: the prefix-sum form of the same total,
+      4 * sum_k (2k - n + 1) v_(k), loses digits on near-constant columns.
+    * at most n/8 distinct tuples u with counts c: the column sums to
+      c @ D @ c, where D is the grid of u against itself.
+    * paired (components 0 = 1 and 2 = 3 in every row): the distance is
+      sqrt(2) times the 2-D distance of components 0 and 2.
+    * any other: the 4-D grid over all plan pairs.
     """
     n, m, _ = x.shape
     if m * n * n <= _SLAB:
@@ -53,44 +72,87 @@ def pairwise_deviation_sums(x: np.ndarray) -> np.ndarray:
         v = np.sort(x[:, crisp, 0], axis=0)
         k = np.arange(1.0, n)
         out[crisp] = 4.0 * ((k * (n - k)) @ np.diff(v, axis=0))
-    if not crisp.all():
-        out[~crisp] = _grid_sums(x[:, ~crisp])
+    rest = np.flatnonzero(~crisp)
+    if rest.size:
+        few, u, c = _distinct_tuples(x[:, rest], n // 8)
+        if few.any():
+            out[rest[few]] = _grid_sums(u, c)
+        rest = rest[~few]
+        y = x[:, rest]
+        paired = ((y[:, :, 0] == y[:, :, 1]) & (y[:, :, 2] == y[:, :, 3])).all(axis=0)
+        if paired.any():
+            out[rest[paired]] = np.sqrt(2.0) * _grid_sums(y[:, paired, ::2])
+        if not paired.all():
+            out[rest[~paired]] = _grid_sums(y[:, ~paired])
     return out
 
 
-def _grid_sums(x: np.ndarray) -> np.ndarray:
-    """Per-column distance sums over all ordered pairs of rows of ``x``, (n, m, 4).
+def _distinct_tuples(x: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of ``x`` (n, r, 4) with at most ``limit`` distinct tuples.
+
+    Returns the (r,) mask of those f columns, their distinct tuples padded to
+    the largest such count k, shape (k, f, 4), and the count of each, (k, f).
+    A padding slot repeats its column's first tuple with count zero. One
+    lexsort along the rows of every column at once finds the distinct tuples.
+    """
+    n = x.shape[0]
+    order = np.lexsort(x.T[::-1], axis=-1)  # (r, n), component 0 the primary key
+    t = np.take_along_axis(x.transpose(1, 0, 2), order[:, :, None], axis=1)
+    # A group of equal tuples starts at a column's first sorted row or where a
+    # tuple differs from the one before it.
+    new = np.ones(order.shape, dtype=bool)
+    new[:, 1:] = (t[:, 1:] != t[:, :-1]).any(axis=2)
+    distinct = new.sum(axis=1)
+    few = distinct <= limit
+    t, new = t[few], new[few]
+    f, k = len(t), int(distinct[few].max(initial=0))
+    slot = np.cumsum(new, axis=1) - 1 + k * np.arange(f)[:, None]  # flat (f, k) index
+    u = np.repeat(t[:, :1], k, axis=1).reshape(f * k, 4)
+    u[slot[new]] = t[new]
+    c = np.bincount(slot.ravel(), minlength=f * k).astype(float)
+    return few, u.reshape(f, k, 4).transpose(1, 0, 2), c.reshape(f, k).T
+
+
+def _grid_sums(x: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """Per-column distance sums over all ordered pairs of rows of ``x``, (n, m, k).
 
     One ``distance_grid`` call per block of rows [s, e) against the rows from
     s on, about ``_SLAB`` distances each, covers the upper triangle of plan
     pairs for every column at once. The e - s square columns of a block hold
-    both orders of each pair and count once; the rest count twice.
+    both orders of each pair and count once; the rest count twice. With
+    ``counts`` (n, m), the distance between rows a and b counts
+    ``counts[a] * counts[b]`` times.
     """
     n, m, _ = x.shape
-    # (m, n, 4) over component-major storage: the four components of a
-    # block's differences are four contiguous slabs.
+    # (m, n, k) over component-major storage: the components of a block's
+    # differences are contiguous slabs.
     u = np.ascontiguousarray(x.T).transpose(1, 2, 0)
+    w = None if counts is None else np.ascontiguousarray(counts.T)
     rows = max(1, _SLAB // (m * n))
     total = np.zeros(m)
     for s in range(0, n, rows):
         b = min(rows, n - s)
         d = distance_grid(u[:, s:s + b, None, :], u[:, None, s:, :])
+        if w is not None:
+            d *= w[:, s:s + b, None]
+            d *= w[:, None, s:]
         total += d[:, :, :b].sum(axis=(1, 2)) + 2.0 * d[:, :, b:].sum(axis=(1, 2))
     return total
 
 
 def distance_grid(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """4-D distance between the last-axis 4-tuples of ``y`` and ``ref``.
+    """Euclidean distance between the last-axis tuples of ``y`` and ``ref``.
 
-    ``y`` and ``ref`` broadcast against each other over their leading axes:
-    an (n, m, 4) matrix against an (m, 4) reference vector gives an (n, m)
-    grid.
+    The tuples are the normalized 4-tuples, or the two distinct components of
+    paired tuples. ``y`` and ``ref`` broadcast against each other over their
+    leading axes: an (n, m, 4) matrix against an (m, 4) reference vector
+    gives an (n, m) grid.
     """
     diff = y - ref
     # Squaring in place saves the largest temporary. Adding the components
-    # slice by slice is faster than a reduction over an axis of length 4.
+    # slice by slice is faster than a reduction over a short axis.
     diff *= diff
     d = diff[..., 0] + diff[..., 1]
-    d += diff[..., 2]
-    d += diff[..., 3]
+    for k in range(2, diff.shape[-1]):
+        d += diff[..., k]
     return np.sqrt(d, out=d)

@@ -117,13 +117,20 @@ def blend_preference(x: np.ndarray, preferences: np.ndarray) -> np.ndarray:
 
 def apply_weights(z: np.ndarray, w_final: np.ndarray) -> np.ndarray:
     """Scale the lower pair of each tuple by the weight's lower bound and the
-    upper pair by its upper bound; ``w_final`` holds (m, 2) (lo, hi) rows."""
+    upper pair by its upper bound; ``w_final`` holds (m, 2) (lo, hi) rows.
+
+    When a product could overflow, ``z`` is first scaled by the power of two
+    that keeps every product finite; every score is invariant to that scale.
+    """
     z = _check_matrix(z)
     if (z < 0).any():
         raise ValidationError("weighted scaling requires a nonnegative matrix")
     w = np.asarray(w_final, dtype=np.float64)
     if w.shape != (z.shape[1], 2):
         raise ValidationError(f"expected ({z.shape[1]}, 2) interval weights, got shape {w.shape}")
+    excess = np.frexp(z.max())[1] + np.frexp(w.max())[1] - 1023
+    if excess > 0:
+        z = np.ldexp(z, -excess)
     scale = w[:, [0, 0, 1, 1]]  # (m, 4)
     return z * scale[None, :, :]
 

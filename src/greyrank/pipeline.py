@@ -75,8 +75,9 @@ def run_pipeline(problem: DecisionProblem) -> Report:
         beta_opt, notes = optimization_weights(x)
         beta_ent, entropy_notes = entropy_weight_table(x)
         notes += entropy_notes
-        beta_interval = comprehensive_objective(beta_opt, beta_ent)
-        w_final = final_weights(problem.subjective, beta_interval)
+        ids = [a.id for a in problem.attributes]
+        beta_interval = comprehensive_objective(beta_opt, beta_ent, ids)
+        w_final = final_weights(problem.subjective, beta_interval, ids)
         bundle = WeightBundle(
             beta_opt=beta_opt,
             beta_ent=beta_ent,

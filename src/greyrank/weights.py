@@ -15,6 +15,7 @@ a weighting without signal falls back to uniform, with a note.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +34,12 @@ __all__ = [
 ]
 
 
-def _interval_rows(w) -> np.ndarray:
+def _weight_name(j: int, ids: Sequence[str] | None) -> str:
+    """Interval weight ``j``, named by its attribute id when ``ids`` are given."""
+    return f"interval weight {j}" if ids is None else f"interval weight of attribute {ids[j]!r}"
+
+
+def _interval_rows(w, ids: Sequence[str] | None = None) -> np.ndarray:
     """``w`` as an (m, 2) float array of (lo, hi) rows, each finite with 0 <= lo <= hi."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != 2:
@@ -41,7 +47,9 @@ def _interval_rows(w) -> np.ndarray:
     ok = np.isfinite(w).all(axis=1) & (0.0 <= w[:, 0]) & (w[:, 0] <= w[:, 1])
     if not ok.all():
         j = int(np.argmin(ok))
-        raise ValidationError(f"interval weight {j} needs finite 0 <= lo <= hi: {w[j].tolist()}")
+        raise ValidationError(
+            f"{_weight_name(j, ids)} needs finite 0 <= lo <= hi: {w[j].tolist()}"
+        )
     return w
 
 
@@ -105,8 +113,13 @@ def entropy_weight_table(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return table, notes * int(flat.sum())
 
 
-def comprehensive_objective(beta_opt: np.ndarray, beta_ent: np.ndarray) -> np.ndarray:
-    """Envelope [min, max] over the five objective weight candidates, (m, 2)."""
+def comprehensive_objective(
+    beta_opt: np.ndarray, beta_ent: np.ndarray, ids: Sequence[str] | None = None
+) -> np.ndarray:
+    """Envelope [min, max] over the five objective weight candidates, (m, 2).
+
+    Errors name attribute ``ids[j]`` when ``ids`` are given, else index j.
+    """
     beta_opt = np.asarray(beta_opt, dtype=np.float64)
     beta_ent = np.asarray(beta_ent, dtype=np.float64)
     if beta_ent.shape != (4, beta_opt.shape[0]):
@@ -114,30 +127,41 @@ def comprehensive_objective(beta_opt: np.ndarray, beta_ent: np.ndarray) -> np.nd
             f"shape mismatch: beta_opt {beta_opt.shape}, beta_ent {beta_ent.shape}"
         )
     cand = np.vstack([beta_opt[None, :], beta_ent])
-    return _interval_rows(np.column_stack((cand.min(axis=0), cand.max(axis=0))))
+    return _interval_rows(np.column_stack((cand.min(axis=0), cand.max(axis=0))), ids)
 
 
-def final_weights(alpha, beta) -> np.ndarray:
+def final_weights(alpha, beta, ids: Sequence[str] | None = None) -> np.ndarray:
     """Normalized interval product of subjective and objective weights, (m, 2).
 
     Outer-bound interval division: lower bounds over the sum of upper
     products, upper bounds over the sum of lower products, so every crisp
-    instantiation of the inputs lands inside the output intervals.
+    instantiation of the inputs lands inside the output intervals. An upper
+    bound too large for a float is degenerate. Errors name attribute
+    ``ids[j]`` when ``ids`` are given, else index j.
     """
-    alpha, beta = _interval_rows(alpha), _interval_rows(beta)
+    alpha, beta = _interval_rows(alpha, ids), _interval_rows(beta, ids)
     if alpha.shape != beta.shape:
         raise ValidationError(f"length mismatch: {len(alpha)} alphas, {len(beta)} betas")
-    # The result does not change when alpha is scaled. A power of two is exact
-    # unless it underflows, and it keeps the sums of huge weights finite.
-    alpha = np.ldexp(alpha, -np.frexp(alpha.max())[1])
-    prod_lo, prod_hi = (alpha * beta).T
+    # Scaling a column of alpha by a power of two scales each quotient it
+    # enters by that power, exactly unless it underflows; the powers are
+    # undone at the end. One power per column, not one for all of alpha, keeps
+    # the sums of huge weights finite without making the other column subnormal.
+    e_lo, e_hi = np.frexp(alpha.max(axis=0))[1]
+    prod_lo, prod_hi = (np.ldexp(alpha, [-e_lo, -e_hi]) * beta).T
     den_hi = float(prod_hi.sum())
     den_lo = float(prod_lo.sum())
     if den_hi <= 0 or den_lo <= 0:
         raise DegenerateProblemError(
             "composite weights degenerate: a weight product sum is zero"
         )
-    return _interval_rows(np.column_stack((prod_lo / den_hi, prod_hi / den_lo)))
+    with np.errstate(over="ignore"):
+        hi = np.ldexp(prod_hi / den_lo, e_hi - e_lo)
+    if not np.isfinite(hi).all():
+        j = int(np.argmin(np.isfinite(hi)))
+        raise DegenerateProblemError(
+            f"{_weight_name(j, ids)}: the upper bound exceeds the largest float"
+        )
+    return _interval_rows(np.column_stack((np.ldexp(prod_lo / den_hi, e_lo - e_hi), hi)), ids)
 
 
 @dataclass

@@ -317,6 +317,33 @@ def test_huge_interval_spread_does_not_overflow_deviation(tmp_path, capsysbinary
     assert report["final_ranking"] == ["G5", "G1", "G2", "G3", "G4"]
 
 
+def test_huge_preference_does_not_overflow_weighting(tmp_path, capsysbinary):
+    # G4's upper preference blends to about 8.5e307 and A1's upper final
+    # weight is above 2; y is scaled before it is weighted
+    data = fighter_document()
+    data["preferences"][3] = [0, 0.1, 0.2, 1.7e308]
+    data["subjective_weights"] = {"intervals": [[1e-4, 1.0]] + [[1e-4, 2e-4]] * 8}
+    report = solve_json(capsysbinary, tmp_path, data)
+    assert report["final_ranking"] == ["G4", "G1", "G2", "G3", "G5"]
+    assert np.isfinite(report["weighted"]).all()
+
+
+def test_overflowing_final_weight_names_the_attribute(tmp_path, capsysbinary):
+    # the upper final weight of A9 is about 2.7 times the largest float
+    data = fighter_document()
+    data["subjective_weights"] = {"intervals": [[0.1, 0.2]] * 8 + [[1e-300, 1.7e308]]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 3 and out == b""
+    assert err == (
+        b"greyrank: degenerate problem: stage weights: interval weight of attribute "
+        b"'A9': the upper bound exceeds the largest float\n"
+    )
+
+
 def test_identical_plans_still_rank(tmp_path, capsysbinary):
     data = copy.deepcopy(MINIMAL)
     data["matrix"][1] = copy.deepcopy(data["matrix"][0])

@@ -170,6 +170,26 @@ def test_final_weights_degenerate_zero_denominator():
         final_weights(np.array([[0.0, 0.0]]), np.array([[0.5, 0.5]]))
 
 
+def test_final_weights_scale_each_bound_on_its_own():
+    # scaled by the largest upper bound, every lower bound would be subnormal
+    # and keep only about 17 bits; here each column has its own scale
+    alpha = np.array([[1e-10, 1.7e308], [1e-10, 1e-10]])
+    beta = np.array([[1e-20, 1e-20], [0.5, 0.5]])
+    w = final_weights(alpha, beta)
+    np.testing.assert_allclose(w[0, 1], 1.7e288 / 5e-11, rtol=1e-14)
+    np.testing.assert_allclose(w[1, 0], 5e-11 / 1.7e288, rtol=1e-14)
+
+
+def test_weight_errors_name_the_attribute():
+    ids = ["A", "B"]
+    with pytest.raises(ValidationError, match="interval weight of attribute 'B' needs finite"):
+        final_weights(np.array([[0.1, 0.2], [0.4, 0.3]]), np.full((2, 2), 0.5), ids)
+    with pytest.raises(DegenerateProblemError, match="attribute 'A': the upper bound exceeds"):
+        final_weights(np.array([[1e-300, 1.7e308], [0.5, 0.5]]), np.full((2, 2), 0.5), ids)
+    with pytest.raises(ValidationError, match="interval weight of attribute 'A'"):
+        comprehensive_objective(np.array([np.nan, 0.5]), np.full((4, 2), 0.5), ids)
+
+
 def test_pipeline_weight_bundle_shapes():
     problem = load_fighter_problem()
     report = run_pipeline(problem)
