@@ -55,6 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args leaves a parser unchanged, and building
+# one costs several times what a parse does.
+_PARSER = build_parser()
+
+
 def _parse_borda_weights(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -86,8 +91,7 @@ def _apply_overrides(problem: DecisionProblem, args: argparse.Namespace) -> Deci
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         data = _load_document(Path(args.file))
         if isinstance(data, dict) and "problem" in data and "final_ranking" in data:

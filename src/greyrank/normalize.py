@@ -6,9 +6,10 @@ indices in -5..5 for linguistic and uncertain cells (a single term ``k`` is
 ``(k, k)``). Every column is normalized against its own column sums, so the
 result is dimensionless and scale-invariant. Two rules cover the four kinds:
 
-* interval rule (real and interval columns), lifted to (x_lo, x_lo, x_hi, x_hi):
-  benefit lo_i / sum(hi), hi_i / sum(lo); cost takes reciprocals with a bound
-  swap, (1/hi_i) / sum(1/lo), (1/lo_i) / sum(1/hi), which keeps lower <= upper
+* interval rule (real and interval columns), lifted to (x_lo, x_lo, x_hi, x_hi)
+  = (a_i / sum(b), a_i / sum(b), b_i / sum(a), b_i / sum(a)) with
+  (a, b) = (lo, hi) for benefit columns. A cost column is the same rule on the
+  reciprocal bounds, (a, b) = (1/hi, 1/lo), which keeps lower <= upper
 * term rule (linguistic and uncertain columns): the index range [a, b] lifts to
   the trapezoid (L_a, M_a, M_b, U_b) spanned by the two terms' triangles, and
   (L_a, M_a) is divided by sum(M_a), (M_b, U_b) by sum(M_b). A linguistic
@@ -16,6 +17,12 @@ result is dimensionless and scale-invariant. Two rules cover the four kinds:
 
 Cost-direction term columns are first mirrored on the scale, [a, b] ->
 [-b, -a], and then normalized as benefit columns.
+
+All columns go through one pass of array operations, one rule each, with no
+loop over columns. When several columns are bad, the error names the first
+of them in column order, with the first check that column fails: a value the
+rule cannot take (exit 2), a zero column sum (exit 3), or a result that is
+not finite (exit 2).
 """
 
 from __future__ import annotations
@@ -56,77 +63,15 @@ class AttributeSpec:
             )
 
 
-def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> np.ndarray:
-    if spec.direction == "cost":
-        if (lo <= 0).any():
-            bad = int(np.argmax(lo <= 0))
-            raise ValidationError(
-                f"attribute {spec.id!r}, row {bad}: cost column requires strictly "
-                f"positive values, got {lo[bad]}"
-            )
-        # The rule is scale-free; an exact power of two keeps the reciprocals of
-        # tiny values finite. One that still overflows is located by normalize_matrix.
-        e = -np.frexp(hi.max())[1]
-        lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            inv_lo_sum = (1.0 / lo).sum()
-            inv_hi_sum = (1.0 / hi).sum()
-            x_lo = (1.0 / hi) / inv_lo_sum
-            x_hi = (1.0 / lo) / inv_hi_sum
-    else:
-        if (lo < 0).any():
-            bad = int(np.argmax(lo < 0))
-            raise ValidationError(
-                f"attribute {spec.id!r}, row {bad}: negative value {lo[bad]} in a "
-                f"benefit column is not supported"
-            )
-        # The rule is scale-free; an exact power of two keeps huge sums finite.
-        e = -np.frexp(hi.max())[1]
-        lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
-        lo_sum = lo.sum()
-        hi_sum = hi.sum()
-        if lo_sum <= 0:
-            raise DegenerateProblemError(
-                f"attribute {spec.id!r}: benefit column sums to zero"
-            )
-        x_lo = lo / hi_sum
-        x_hi = hi / lo_sum
-    return np.stack([x_lo, x_lo, x_hi, x_hi], axis=1)
-
-
-def _normalize_terms(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> np.ndarray:
-    on_scale = (np.abs(lo) <= 5) & (lo == np.round(lo)) & (np.abs(hi) <= 5) & (hi == np.round(hi))
-    if not on_scale.all():
-        bad = int(np.argmin(on_scale))
-        raise ValidationError(
-            f"attribute {spec.id!r}, row {bad}: ({lo[bad]}, {hi[bad]}) is not a pair "
-            f"of term indices in -5..5 for kind {spec.kind!r}"
-        )
-    if spec.direction == "cost":
-        # Mirroring reverses order, so the bounds swap roles. Mirroring the
-        # indices keeps the triangles exact, where 1 - t would round.
-        lo, hi = -hi, -lo
-    a = _TRIANGLES[lo.astype(np.intp) + 5]
-    b = _TRIANGLES[hi.astype(np.intp) + 5]
-    trap = np.stack([a[:, 0], a[:, 1], b[:, 1], b[:, 2]], axis=1)
-    lower_sum = trap[:, 1].sum()
-    upper_sum = trap[:, 2].sum()
-    if lower_sum <= 0 or upper_sum <= 0:
-        raise DegenerateProblemError(
-            f"attribute {spec.id!r}: {spec.kind} column midpoints sum to zero"
-        )
-    return trap / np.array([lower_sum, lower_sum, upper_sum, upper_sum])
-
-
 def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndarray:
-    """Normalize the (n, m, 2) bounds array column by column into shape (n, m, 4).
+    """Normalize the (n, m, 2) bounds array into shape (n, m, 4), all columns at once.
 
-    Each column's tuples are put in ascending order by one sort. For the
-    interval rule and for linguistic columns the components are already
-    ordered and the sort only guards against floating-point inversions;
-    uncertain columns can produce genuine inversions (a degenerate range next
-    to wide ones), which the sort repairs as well. A non-finite result is
-    reported with its attribute and row.
+    Each cell's tuple is put in ascending order by one sort. For the interval
+    rule and for linguistic columns the components are already ordered and
+    the sort only guards against floating-point inversions; uncertain columns
+    can produce genuine inversions (a degenerate range next to wide ones),
+    which the sort repairs as well. A non-finite result is reported with its
+    attribute and row.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[1:] != (len(specs), 2):
@@ -137,19 +82,66 @@ def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndar
         raise ValidationError("decision matrix has no plans")
     if len(specs) == 0:
         raise ValidationError("decision matrix has no attributes")
-    out = np.empty((raw.shape[0], len(specs), 4))
-    for j, spec in enumerate(specs):
-        lo, hi = raw[:, j, 0], raw[:, j, 1]
-        if spec.kind in ("real", "interval"):
-            col = _normalize_interval(lo, hi, spec)
+    m, n = len(specs), raw.shape[0]
+    # (m, n) views; a masked selection of their rows is a contiguous copy, so each
+    # column sums in the pairwise order of a lone 1-D column.
+    lo, hi = raw.transpose(2, 1, 0)
+    terms = np.array([s.kind not in ("real", "interval") for s in specs])
+    cost = np.array([s.direction == "cost" for s in specs])
+    bad = np.empty((m, n), dtype=bool)  # values the column's rule cannot take
+    zero = np.empty(m, dtype=bool)  # a column sum the rule divides by is not positive
+    x = np.empty((n, m, 4))
+
+    # Division by a bad column's sums is harmless: its error is raised below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c, a, b = cost[~terms, None], lo[~terms], hi[~terms]
+        bad[~terms] = np.where(c, a <= 0, a < 0)
+        # The rule is scale-free; an exact power of two per column keeps huge
+        # sums and the reciprocals of tiny values finite.
+        e = -np.frexp(b.max(axis=1))[1][:, None]
+        a, b = np.ldexp(a, e), np.ldexp(b, e)
+        a, b = np.where(c, 1.0 / b, a), np.where(c, 1.0 / a, b)
+        sum_a, sum_b = a.sum(axis=1)[:, None], b.sum(axis=1)[:, None]
+        zero[~terms] = ~c[:, 0] & (sum_a[:, 0] <= 0)
+        x_lo, x_hi = a / sum_b, b / sum_a
+        x[:, ~terms, 0] = x[:, ~terms, 1] = x_lo.T
+        x[:, ~terms, 2] = x[:, ~terms, 3] = x_hi.T
+
+        c, a, b = cost[terms, None], lo[terms], hi[terms]
+        on_scale = (np.abs(a) <= 5) & (a == np.round(a)) & (np.abs(b) <= 5) & (b == np.round(b))
+        bad[terms] = ~on_scale
+        # Mirroring reverses order, so the bounds swap roles. Mirroring the
+        # indices keeps the triangles exact, where 1 - t would round.
+        a, b = np.where(c, -b, a), np.where(c, -a, b)
+        a = np.where(on_scale, a, 0).astype(np.intp) + 5
+        b = np.where(on_scale, b, 0).astype(np.intp) + 5
+        L, M, U = _TRIANGLES.T
+        mid_a, mid_b = M[a], M[b]
+        sum_a, sum_b = mid_a.sum(axis=1)[:, None], mid_b.sum(axis=1)[:, None]
+        zero[terms] = (sum_a[:, 0] <= 0) | (sum_b[:, 0] <= 0)
+        x[:, terms, 0], x[:, terms, 1] = (L[a] / sum_a).T, (mid_a / sum_a).T
+        x[:, terms, 2], x[:, terms, 3] = (mid_b / sum_b).T, (U[b] / sum_b).T
+
+    x.sort(axis=2)
+    failed = bad.any(axis=1) | zero | ~np.isfinite(x).all(axis=0).all(axis=1)
+    if not failed.any():
+        return x
+    j = int(np.argmax(failed))
+    spec = specs[j]
+    if bad[j].any():
+        i = int(np.argmax(bad[j]))
+        if terms[j]:
+            problem = (f"({lo[j, i]}, {hi[j, i]}) is not a pair of term indices in -5..5 "
+                       f"for kind {spec.kind!r}")
+        elif cost[j]:
+            problem = f"cost column requires strictly positive values, got {lo[j, i]}"
         else:
-            col = _normalize_terms(lo, hi, spec)
-        col = np.sort(col, axis=1)
-        if not np.isfinite(col).all():
-            bad = int(np.argmin(np.isfinite(col).all(axis=1)))
-            raise ValidationError(
-                f"attribute {spec.id!r}, row {bad}: normalized value "
-                f"{col[bad].tolist()} is not finite"
-            )
-        out[:, j] = col
-    return out
+            problem = f"negative value {lo[j, i]} in a benefit column is not supported"
+        raise ValidationError(f"attribute {spec.id!r}, row {i}: {problem}")
+    if zero[j]:
+        what = f"{spec.kind} column midpoints sum" if terms[j] else "benefit column sums"
+        raise DegenerateProblemError(f"attribute {spec.id!r}: {what} to zero")
+    i = int(np.argmin(np.isfinite(x[:, j]).all(axis=1)))
+    raise ValidationError(
+        f"attribute {spec.id!r}, row {i}: normalized value {x[i, j].tolist()} is not finite"
+    )

@@ -2,11 +2,12 @@ import copy
 import dataclasses
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from greyrank import DecisionProblem, parse_problem, parse_problem_dict
+from greyrank import DecisionProblem, fighter_problem_path, parse_problem, parse_problem_dict
 from greyrank.cli import main
 
 from test_problem_io import MINIMAL, fighter_document
@@ -126,6 +127,19 @@ def test_param_flags_override_file(toy_file, capsysbinary):
     assert params["theta_plus"] == 0.8
     assert params["theta_minus"] == pytest.approx(0.2)
     assert json.loads(out)["problem"]["params"] == params
+
+
+def test_flags_do_not_carry_over_to_the_next_call(capsysbinary):
+    # main parses with one parser per process; a flag given to one call must
+    # leave the next call's defaults as a fresh process has them
+    path = fighter_problem_path()
+    rc, with_rho, _ = run(capsysbinary, "solve", path, "--rho", "0.3")
+    assert rc == 0
+    rc, default, _ = run(capsysbinary, "solve", path)
+    assert rc == 0
+    fresh = (Path(__file__).resolve().parent / "golden" / "fighter.txt").read_bytes()
+    assert default == fresh
+    assert with_rho != fresh
 
 
 def test_flag_does_not_hide_invalid_file_params(tmp_path, capsysbinary):

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greyrank import AttributeSpec, DegenerateProblemError, ValidationError
-from greyrank.normalize import normalize_matrix
+from greyrank.normalize import DIRECTIONS, KINDS, normalize_matrix
+
+from oracles import loop_normalize_matrix
 
 BEN = AttributeSpec("B", "interval", "benefit")
 COST = AttributeSpec("C", "interval", "cost")
@@ -91,6 +95,30 @@ def test_kind_mismatch_is_located():
     assert "'A7', row 1" in str(err.value)
 
 
+ZERO_COLUMN = (
+    [(0, 0), (0, 0)], DegenerateProblemError, "attribute {id!r}: benefit column sums to zero"
+)
+NEGATIVE_COLUMN = (
+    [(1, 2), (-1, 2)],
+    ValidationError,
+    "attribute {id!r}, row 1: negative value -1.0 in a benefit column is not supported",
+)
+
+
+@pytest.mark.parametrize(
+    "first, second", [(ZERO_COLUMN, NEGATIVE_COLUMN), (NEGATIVE_COLUMN, ZERO_COLUMN)],
+    ids=["zero-then-negative", "negative-then-zero"],
+)
+def test_error_names_the_first_bad_column(first, second):
+    # the two checks fail in different columns; the error is the first column's
+    raw = np.array([first[0], second[0]], dtype=np.float64).transpose(1, 0, 2)
+    specs = [AttributeSpec("A1", "interval", "benefit"), AttributeSpec("A2", "real", "benefit")]
+    with pytest.raises(first[1]) as err:
+        normalize_matrix(raw, specs)
+    assert type(err.value) is first[1]
+    assert str(err.value) == first[2].format(id="A1")
+
+
 def test_normalize_matrix_shape_and_order():
     raw = np.array([[(1, 1), (1, 2)], [(3, 3), (3, 4)]], dtype=np.float64)
     specs = [AttributeSpec("R", "real", "benefit"), BEN]
@@ -166,3 +194,49 @@ def test_uncertain_normalization_is_ordered(pairs, direction):
             assert all(b == 5 for _, b in pairs) or all(a == 5 for a, _ in pairs)
         return
     assert (np.diff(col, axis=1) >= 0).all()
+
+
+# Pools for the reference comparison. Each draws mostly valid values plus the
+# hostile ones: negative, zero, subnormal, tiny and huge magnitudes, NaN, and
+# values that are no term index.
+_HOSTILE = [-1.0, 0.0, 5e-324, 1e-310, 1.7e308, float("nan")]
+_INTERVAL_POOL = [0.5, 1.0, 2.0, 3.0, 7.25] * 2 + _HOSTILE
+_TERM_POOL = list(range(-5, 6)) + [1.5, 3610.0, float("nan")]
+
+
+@st.composite
+def mixed_problems(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    specs, columns = [], []
+    for j in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(KINDS))
+        pool = _INTERVAL_POOL if kind in ("real", "interval") else _TERM_POOL
+        values = draw(st.lists(st.sampled_from(pool), min_size=2 * n, max_size=2 * n))
+        # bounds come in ascending pairs as the parser gives them (NaN sorts last)
+        columns.append(np.sort(np.reshape(values, (n, 2)), axis=1))
+        specs.append(AttributeSpec(f"A{j + 1}", kind, draw(st.sampled_from(DIRECTIONS))))
+    return np.stack(columns, axis=1), specs
+
+
+def _outcome(normalize, raw, specs):
+    try:
+        return normalize(raw, specs)
+    except (ValidationError, DegenerateProblemError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mixed_problems())
+def test_one_pass_matches_the_column_loop(problem):
+    raw, specs = problem
+    with warnings.catch_warnings():
+        # The loop warns when a benefit column's sum overflows next to a NaN,
+        # and then raises the same error; the one pass must raise it silently.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _outcome(loop_normalize_matrix, raw, specs)
+    got = _outcome(normalize_matrix, raw, specs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        assert got.flags.c_contiguous
