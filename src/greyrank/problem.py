@@ -21,10 +21,11 @@ Problem files are JSON documents with ``"schema": 1``:
 * ``name``, ``notes`` — optional free text; either must be a string.
 
 Every violation is reported with the plan/attribute location that caused it.
-The matrix is validated cell by cell and stored as one float array of bounds,
-:attr:`DecisionProblem.raw`, of shape (n, m, 2): ``(lo, hi)`` for real and
-interval cells (a real ``v`` is ``(v, v)``), and ``(lower, upper)`` term
-indices in -5..5 for linguistic and uncertain cells (a term ``k`` is
+The matrix is validated a column at a time, in one pass per check over the
+column or, where that fails, cell by cell. It is stored as one float array of
+bounds, :attr:`DecisionProblem.raw`, of shape (n, m, 2): ``(lo, hi)`` for
+real and interval cells (a real ``v`` is ``(v, v)``), and ``(lower, upper)``
+term indices in -5..5 for linguistic and uncertain cells (a term ``k`` is
 ``(k, k)``). The column kinds in :attr:`DecisionProblem.attributes` say which
 reading applies.
 """
@@ -34,6 +35,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter, le
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,7 @@ from .aggregate import BordaConfig
 from .errors import ValidationError
 from .evaluate import MethodParams
 from .normalize import AttributeSpec
-from .values import term_index
+from .values import term_index, term_indices
 from .weights import subjective_interval_weights
 
 __all__ = ["DecisionProblem", "parse_problem", "parse_problem_dict"]
@@ -166,6 +169,97 @@ def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> tuple[fl
         if str(exc).startswith(where):
             raise
         raise ValidationError(f"{where}: {exc}") from exc
+
+
+# What the one-pass checks below raise on input they leave to the per-cell loop.
+_NOT_BULK = (LookupError, TypeError, ValueError, OverflowError)
+_NUMBER_TYPES = {int, float}
+_CELL_KEY = {"interval": "interval", "linguistic": "ling", "uncertain-linguistic": "uncertain"}
+
+
+def _only(values, types: set) -> None:
+    """Raise TypeError unless every value's exact type is in ``types``."""
+    if not set(map(type, values)) <= types:
+        raise TypeError("not a bulk column")
+
+
+def _bulk_column(cells: tuple, kind: str, terms: dict[str, int]) -> list:
+    """One column's k lower bounds, then its k upper bounds.
+
+    Accepts bare numbers, ``[lo, hi]`` number pairs and term labels spelled
+    exactly as a key of ``terms``, when every bound is finite and no pair is
+    out of order: a subset of what :func:`_parse_cell` accepts, with the same
+    bounds. Anything else raises one of ``_NOT_BULK``.
+    """
+    if kind == "real":
+        _only(cells, _NUMBER_TYPES)
+        lo = hi = list(cells)
+    else:
+        _only(cells, {dict})
+        if set(map(len, cells)) != {1}:
+            raise ValueError("not a bulk column")
+        inner = list(map(itemgetter(_CELL_KEY[kind]), cells))
+        if kind == "linguistic":
+            lo = hi = list(map(terms.__getitem__, inner))
+        else:
+            _only(inner, {list})
+            if set(map(len, inner)) != {2}:
+                raise ValueError("not a bulk column")
+            flat = list(chain.from_iterable(inner))
+            if kind == "interval":
+                _only(flat, _NUMBER_TYPES)
+            else:
+                flat = list(map(terms.__getitem__, flat))
+            lo, hi = flat[0::2], flat[1::2]
+    # math.isfinite raises OverflowError on an integer too large for a float
+    finite = all(map(math.isfinite, lo)) and all(map(math.isfinite, hi))
+    if not (finite and all(map(le, lo, hi))):
+        raise ValueError("not a bulk column")
+    return lo + hi
+
+
+def _parse_matrix(
+    rows: list, plans: list[str], attributes: list[AttributeSpec], aliases: dict[str, str]
+) -> np.ndarray:
+    """The (len(rows), m, 2) bounds of well-shaped matrix rows, a column at a time.
+
+    The columns :func:`_bulk_column` rejects go through :func:`_parse_cell`
+    in row-major order, so the first bad cell raises the same located
+    message as a cell-by-cell pass would.
+    """
+    terms = term_indices(aliases)
+    k, m = len(rows), len(attributes)
+    flat: list = []
+    slow = []
+    for j, (attr, cells) in enumerate(zip(attributes, zip(*rows))):
+        try:
+            flat += _bulk_column(cells, attr.kind, terms)
+        except _NOT_BULK:
+            flat += [0.0] * (2 * k)
+            slow.append(j)
+    raw = np.array(flat, dtype=np.float64).reshape(m, 2, k).transpose(2, 0, 1).copy()
+    for i in range(k if slow else 0):
+        for j in slow:
+            where = f"plan {plans[i]!r}, attribute {attributes[j].id!r}"
+            raw[i, j] = _parse_cell(rows[i][j], attributes[j].kind, aliases, where)
+    return raw
+
+
+def _parse_preferences(entries: list, plans: list[str]) -> np.ndarray:
+    """The (n, 4) preferences: one pass over all entries, or else one at a time."""
+    try:
+        _only(entries, {list, tuple})
+        _only(chain.from_iterable(entries), _NUMBER_TYPES)
+        # unpacking raises ValueError on an entry that is not a 4-tuple
+        if all(0 <= a <= b <= c <= d < math.inf for a, b, c, d in entries):
+            return np.array(entries, dtype=np.float64)
+    except _NOT_BULK:
+        pass
+    return np.array(
+        [_parse_preference(entry, f"preference for plan {plans[i]!r}")
+         for i, entry in enumerate(entries)],
+        dtype=np.float64,
+    )
 
 
 def _parse_preference(entry, where: str) -> list[float]:
@@ -325,15 +419,12 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         isinstance(matrix, list) and len(matrix) == n,
         f"matrix must have one row per plan ({n} rows)",
     )
-    bounds: list[float] = []
-    for i, row in enumerate(matrix):
-        _require(
-            isinstance(row, list) and len(row) == m,
-            f"plan {plans[i]!r}: matrix row must have {m} cells",
-        )
-        for j, cell in enumerate(row):
-            where = f"plan {plans[i]!r}, attribute {attributes[j].id!r}"
-            bounds.extend(_parse_cell(cell, attributes[j].kind, aliases, where))
+    # cells in rows above a malformed row are checked, and located, first
+    short = next((i for i, row in enumerate(matrix)
+                  if not (isinstance(row, list) and len(row) == m)), n)
+    raw = _parse_matrix(matrix[:short], plans, attributes, aliases)
+    if short < n:
+        raise ValidationError(f"plan {plans[short]!r}: matrix row must have {m} cells")
 
     _require("subjective_weights" in data, "subjective_weights is required")
     subjective, experts = _parse_subjective(data["subjective_weights"], ids)
@@ -345,11 +436,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         isinstance(prefs_raw, list) and len(prefs_raw) == n,
         f"preferences must list one 4-tuple per plan ({n} entries)",
     )
-    prefs = np.array(
-        [_parse_preference(entry, f"preference for plan {plans[i]!r}")
-         for i, entry in enumerate(prefs_raw)],
-        dtype=np.float64,
-    )
+    prefs = _parse_preferences(prefs_raw, plans)
 
     params, borda = _parse_params(data.get("params"))
 
@@ -362,7 +449,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         name=name,
         plans=list(plans),
         attributes=attributes,
-        raw=np.array(bounds, dtype=np.float64).reshape(n, m, 2),
+        raw=raw,
         subjective=subjective,
         experts=experts,
         preferences=prefs,

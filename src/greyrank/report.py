@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .pipeline import Report
 from .problem import DecisionProblem
-from .values import DEFAULT_ALIASES, canonical_labels, term_index
+from .values import term_indices
 
 __all__ = ["FORMATS", "emit_report", "render_text", "render_csv", "render_json"]
 
@@ -217,8 +217,7 @@ def render_csv(report: Report) -> str:
 
 def _matrix_rows(problem: DecisionProblem) -> list:
     """Matrix cells from ``raw``; a term as the first label, canonical first, that parses to it."""
-    spellings = canonical_labels() + sorted(DEFAULT_ALIASES) + sorted(problem.aliases)
-    name = {term_index(s, problem.aliases): s for s in reversed(spellings)}
+    name = {k: s for s, k in reversed(term_indices(problem.aliases).items())}
     column = {  # term indices are floats; they hash like the int keys of name
         "real": lambda col: [lo for lo, _ in col],
         "interval": lambda col: [{"interval": pair} for pair in col],
@@ -288,7 +287,8 @@ def render_json(report: Report) -> str:
     if problem.notes is not None:
         echo["notes"] = problem.notes
     doc["problem"] = echo
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # one line: with no indent, json.dumps runs CPython's C encoder
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def emit_report(report: Report, fmt: str = "text") -> bytes:

@@ -18,6 +18,7 @@ __all__ = [
     "DEFAULT_ALIASES",
     "canonical_labels",
     "term_index",
+    "term_indices",
     "term_to_triangle",
 ]
 
@@ -75,6 +76,23 @@ def term_index(label: str, aliases: dict[str, str] | None = None) -> int:
             f"unknown linguistic term {label!r}; accepted terms: {accepted}"
         )
     return _LABEL_TO_INDEX[key]
+
+
+_BUILT_IN_INDICES = {
+    label: term_index(label) for label in canonical_labels() + sorted(DEFAULT_ALIASES)
+}
+
+
+def term_indices(aliases: dict[str, str] | None = None) -> dict[str, int]:
+    """Every accepted spelling, canonical labels first, mapped to its index.
+
+    The keys are folded spellings, so a label looked up here exactly resolves
+    as :func:`term_index` would resolve it; custom aliases take precedence.
+    """
+    indices = dict(_BUILT_IN_INDICES)
+    # an alias that shadows a built-in spelling keeps that spelling's place
+    indices.update((label, term_index(label, aliases)) for label in sorted(aliases or {}))
+    return indices
 
 
 def term_to_triangle(index: int) -> tuple[float, float, float]:

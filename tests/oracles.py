@@ -4,6 +4,9 @@ Everything here is deliberately written the slow, obvious way (plain loops,
 grid/line searches) so it shares no code path with the package internals.
 ``loop_normalize_matrix`` is the column-by-column normalization that the
 one-pass ``normalize_matrix`` replaced; it shares only the term triangles.
+``loop_matrix_bounds`` and ``loop_preferences`` are the cell-by-cell parse
+that the column-at-a-time parse replaced; they share the per-cell and
+per-entry validators, which the parse keeps as its error locators.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from greyrank.errors import DegenerateProblemError, ValidationError
 from greyrank.normalize import _TRIANGLES, AttributeSpec
+from greyrank.problem import _parse_cell, _parse_preference
 
 
 def brute_deviation_coefficients(x: np.ndarray) -> np.ndarray:
@@ -131,7 +135,7 @@ def loop_incidence_grid(y: np.ndarray, ref: np.ndarray, rho: float) -> np.ndarra
     d = loop_distance_grid(y, ref)
     dmin, dmax = d.min(), d.max()
     if dmax <= 0:
-        return np.ones((n, m))
+        return np.ones_like(d)
     return (dmin + rho * dmax) / (d + rho * dmax)
 
 
@@ -253,3 +257,27 @@ def loop_normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np
             )
         out[:, j] = col
     return out
+
+
+def loop_matrix_bounds(
+    matrix: list, plans: list[str], specs: Sequence[AttributeSpec], aliases: dict[str, str]
+) -> np.ndarray:
+    """The (n, m, 2) cell bounds, one row and then one cell at a time."""
+    m = len(specs)
+    bounds: list[float] = []
+    for i, row in enumerate(matrix):
+        if not (isinstance(row, list) and len(row) == m):
+            raise ValidationError(f"plan {plans[i]!r}: matrix row must have {m} cells")
+        for j, cell in enumerate(row):
+            where = f"plan {plans[i]!r}, attribute {specs[j].id!r}"
+            bounds.extend(_parse_cell(cell, specs[j].kind, aliases, where))
+    return np.array(bounds, dtype=np.float64).reshape(len(matrix), m, 2)
+
+
+def loop_preferences(entries: list, plans: list[str]) -> np.ndarray:
+    """The (n, 4) preferences, one entry at a time."""
+    return np.array(
+        [_parse_preference(entry, f"preference for plan {plans[i]!r}")
+         for i, entry in enumerate(entries)],
+        dtype=np.float64,
+    )

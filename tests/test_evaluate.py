@@ -130,6 +130,13 @@ def test_incidence_coefficients_match_loop_oracle():
         np.testing.assert_allclose(ours, oracle, rtol=1e-12)
 
 
+def test_incidence_of_all_zero_distances_matches_loop_oracle():
+    y = np.ones((3, 2, 4))
+    ours = incidence_coefficients(distance_grid(y, y[0]), 0.5)
+    np.testing.assert_array_equal(ours, loop_incidence_grid(y, y[0], 0.5))
+    np.testing.assert_array_equal(ours, np.ones((3, 2)))
+
+
 def test_incidence_coefficient_range_and_peak():
     rng = np.random.default_rng(22)
     y = random_generalized_matrix(rng, 6, 4)

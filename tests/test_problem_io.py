@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import greyrank.problem
 from greyrank import (
     ValidationError,
     emit_report,
@@ -13,6 +16,10 @@ from greyrank import (
     parse_problem_dict,
     run_pipeline,
 )
+from greyrank.normalize import AttributeSpec
+from greyrank.values import DEFAULT_ALIASES, canonical_labels
+
+from oracles import loop_matrix_bounds, loop_preferences
 
 MINIMAL = {
     "schema": 1,
@@ -267,3 +274,176 @@ def test_parse_problem_from_file(tmp_path):
         parse_problem(bad)
     with pytest.raises(ValidationError, match="read"):
         parse_problem(tmp_path / "missing.json")
+
+
+def test_canonical_columns_skip_the_per_cell_loop(monkeypatch):
+    calls = []
+    parse_cell = greyrank.problem._parse_cell
+    monkeypatch.setattr(
+        greyrank.problem, "_parse_cell", lambda *a: calls.append(a[-1]) or parse_cell(*a)
+    )
+    for document in (toy(), fighter_document()):
+        parse_problem_dict(document)
+    assert calls == []
+    # a label that needs case folding sends its column, and only it, to the loop
+    data = toy()
+    data["matrix"][1][2] = {"ling": "High"}
+    assert parse_problem_dict(data).raw[:, 2].tolist() == [[3, 3], [3, 3]]
+    assert calls == ["plan 'P1', attribute 'A3'", "plan 'P2', attribute 'A3'"]
+
+
+# Cells of every shape the per-cell loop accepts or rejects. Aliases are given
+# with folded keys, as _parse_aliases stores them.
+KINDS = ("real", "interval", "linguistic", "uncertain-linguistic")
+ALIASES = [{}, {"so-so": "general"}, {"high": "low"}, {"ordinary": "very high", "meh": "ordinary"}]
+LABELS = canonical_labels() + sorted(DEFAULT_ALIASES) + ["so-so", "meh"]
+# 2**1024 - 2**970 is finite as an int but rounds to inf as a float
+HUGE = [10**400, -(10**400), 2**53, 2**53 + 1, 2**63 + 1, 2**1023 + 2**970, 2**1024 - 2**970,
+        -(2**70) - 1]
+numbers = st.one_of(st.floats(), st.integers(), st.sampled_from(HUGE), st.floats(-1e3, 1e3))
+junk = st.sampled_from([True, False, None, "1.5", "high", [1.0], {}])
+labels = st.one_of(
+    st.sampled_from(LABELS),
+    st.sampled_from(LABELS).map(str.upper),
+    st.sampled_from(LABELS).map(lambda s: f" {s.replace(' ', '  ')} "),
+    st.sampled_from(["sort of high", "", 3, None]),
+)
+pairs = st.one_of(
+    st.lists(numbers, min_size=2, max_size=2),
+    st.lists(st.one_of(numbers, junk), min_size=1, max_size=3),
+    st.tuples(numbers, numbers),
+)
+term_pairs = st.one_of(
+    st.lists(labels, min_size=2, max_size=2),
+    st.lists(labels, min_size=1, max_size=3),
+    st.tuples(labels, labels),
+)
+CELLS = {
+    "real": st.one_of(numbers, st.builds(lambda v: {"real": v}, numbers), junk),
+    "interval": st.one_of(st.builds(lambda b: {"interval": b}, pairs), numbers, junk),
+    "linguistic": st.one_of(
+        st.builds(lambda t: {"ling": t}, labels),
+        st.builds(lambda t: {"ling": t, "x": 1}, labels),
+        labels,
+    ),
+    "uncertain-linguistic": st.one_of(
+        st.builds(lambda p: {"uncertain": p}, term_pairs), st.builds(lambda t: {"ling": t}, labels)
+    ),
+}
+finite = st.one_of(st.floats(-1e6, 1e6), st.integers(-(10**6), 10**6))
+terms = st.sampled_from(canonical_labels())
+CLEAN = {  # cells every column fast path takes
+    "real": finite,
+    "interval": st.lists(finite, min_size=2, max_size=2).map(lambda b: {"interval": sorted(b)}),
+    "linguistic": st.builds(lambda t: {"ling": t}, terms),
+    "uncertain-linguistic": st.lists(st.integers(0, 10), min_size=2, max_size=2).map(
+        lambda k: {"uncertain": [canonical_labels()[i] for i in sorted(k)]}
+    ),
+}
+
+
+@st.composite
+def matrices(draw):
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+    n = draw(st.integers(1, 4))
+    columns = [
+        draw(st.lists((CLEAN if draw(st.booleans()) else CELLS)[kind], min_size=n, max_size=n))
+        for kind in kinds
+    ]
+    return kinds, [list(row) for row in zip(*columns)], draw(st.sampled_from(ALIASES))
+
+
+def column_document(kinds, matrix, aliases=None, preferences=None) -> dict:
+    n = len(matrix)
+    return {
+        "schema": 1,
+        "plans": [f"P{i + 1}" for i in range(n)],
+        "attributes": [
+            {"id": f"A{j + 1}", "kind": kind, "direction": "benefit"}
+            for j, kind in enumerate(kinds)
+        ],
+        "matrix": matrix,
+        "subjective_weights": {"intervals": [[0.1, 0.2]] * len(kinds)},
+        "preferences": preferences or [[0.1, 0.2, 0.3, 0.4]] * n,
+        "linguistic_aliases": aliases or {},
+    }
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the message of the ValidationError it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example((["real"], [[1.0], [True]], {}))
+@example((["real"], [[{"real": 2}], [{"real": False}]], {}))
+@example((["real"], [[{"real": 2, "x": 1}]], {}))
+@example((["real"], [[2**63 + 1], [10**400]], {}))
+@example((["real"], [[float("nan")], [1.0]], {}))
+@example((["real", "real"], [[1.0, float("inf")], [-float("inf"), 2.0]], {}))
+@example((["interval"], [[{"interval": [float("nan"), 1]}]], {}))
+@example((["interval"], [[{"interval": [1]}], [{"interval": [1, 2, 3]}]], {}))
+@example((["interval"], [[{"interval": [1, 2]}], [{"interval": [3, 1]}]], {}))
+@example((["interval"], [[{"interval": [1, 10**400]}]], {}))
+@example((["interval"], [[{"interval": [True, 2]}], [{"interval": [1, 2]}]], {}))
+@example((["interval"], [[{"interval": ["1", 2]}]], {}))
+@example((["interval"], [[{"interval": [2**53 + 1, 2**53]}], [{"interval": [2**53, 2.0**53]}]], {}))
+@example((["linguistic"], [[{"ling": "High"}], [{"ling": " very  high "}]], {}))
+@example((["linguistic"], [[{"ling": "sort of high"}]], {}))
+@example((["linguistic", "uncertain-linguistic"],
+          [[{"ling": "high"}, {"uncertain": ["low", "high"]}]], {"high": "low"}))
+@example((["uncertain-linguistic"], [[{"uncertain": ["LOW", "High"]}]], {}))
+@example((["uncertain-linguistic"], [[{"uncertain": ["high", "low"]}]], {}))
+@example((["uncertain-linguistic"], [[{"uncertain": ["low", "high", "high"]}]], {}))
+@example((["real", "interval"], [[1.0, {"interval": [2, 1]}], [True, {"interval": [1, 2]}]], {}))
+@example((["real", "real"], [[True, 1.0], [1.0]], {}))
+@example((["real", "real"], [[1.0, 1.0], [1.0]], {}))
+def test_bulk_parse_matches_the_per_cell_loop(case):
+    kinds, matrix, aliases = case
+    data = column_document(kinds, matrix, aliases)
+    specs = [AttributeSpec(f"A{j + 1}", kind, "benefit") for j, kind in enumerate(kinds)]
+    plans = data["plans"]
+    expected = outcome(loop_matrix_bounds, matrix, plans, specs, aliases)
+    assert_same_outcome(outcome(lambda: parse_problem_dict(data).raw), expected)
+
+
+entries = st.one_of(
+    st.lists(st.floats(0, 10), min_size=4, max_size=4).map(sorted),
+    st.lists(st.one_of(numbers, junk), min_size=3, max_size=5),
+    st.tuples(numbers, numbers, numbers, numbers),
+    numbers,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, min_size=1, max_size=4))
+@example([[0.1, 0.2, 0.3]])
+@example([[0.1, 0.2, 0.3, 0.4, 0.5]])
+@example([(0.1, 0.2, 0.3, 0.4), [0, 0, 0, 2**63 + 1]])
+@example([[0.1, 0.2, 0.3, 0.4], [0.4, 0.2, 0.3, 0.5]])
+@example([[-0.0, 0.0, 0.0, 0.0], [-0.1, 0.2, 0.3, 0.4]])
+@example([[0.1, 0.2, 0.3, float("nan")]])
+@example([[0.1, 0.2, 0.3, float("inf")]])
+@example([[0.1, 0.2, 0.3, 10**400]])
+@example([[0, 2**53 + 1, 2.0**53, 2**1024 - 2**970]])
+@example([[0, 2**53 + 1, 2.0**53, 2**53]])
+@example([[0.1, 0.2, 0.3, True]])
+@example([[0.1, 0.2, 0.3, "0.4"]])
+@example([0.4])
+def test_bulk_preferences_match_the_per_entry_loop(preferences):
+    n = len(preferences)
+    data = column_document(["real"], [[1.0]] * n, preferences=preferences)
+    expected = outcome(loop_preferences, preferences, data["plans"])
+    assert_same_outcome(outcome(lambda: parse_problem_dict(data).preferences), expected)

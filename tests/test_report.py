@@ -90,6 +90,12 @@ def test_renderers_are_deterministic(toy_report):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def test_fighter_json_report_is_one_compact_line():
+    out = emit_report(run_pipeline(load_fighter_problem()), "json-report").decode()
+    assert out == json.dumps(json.loads(out), separators=(",", ":"), sort_keys=True) + "\n"
+    assert out.count("\n") == 1
+
+
 def test_fighter_reports_match_golden():
     # a refactor must not move a byte of the text or CSV report; the
     # json-report is left out, as its last float digits follow summation order

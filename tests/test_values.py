@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from greyrank import ValidationError, parse_problem_dict
 from greyrank._kernels import distance_grid
 from greyrank.normalize import AttributeSpec, normalize_matrix
-from greyrank.values import canonical_labels, term_index, term_to_triangle
+from greyrank.values import canonical_labels, term_index, term_indices, term_to_triangle
 from greyrank.weights import final_weights
 
 
@@ -73,6 +73,16 @@ def test_custom_aliases_take_precedence():
     assert term_index("ok", {"ok": "general"}) == 0
     # custom alias may redirect a built-in spelling
     assert term_index("ordinary", {"ordinary": "high"}) == term_index("high")
+
+
+def test_term_indices_resolve_as_term_index():
+    aliases = {"high": "low", "ordinary": "high", "ok": "general"}
+    table = term_indices(aliases)
+    assert list(table)[:11] == canonical_labels()
+    assert list(table)[-1] == "ok"  # shadowing aliases keep the built-in spelling's place
+    assert table == {label: term_index(label, aliases) for label in table}
+    assert table["high"] == -3 and table["ordinary"] == 3
+    assert term_indices() == {label: term_index(label) for label in term_indices()}
 
 
 def test_unknown_label_lists_accepted_terms():
