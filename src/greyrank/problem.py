@@ -45,7 +45,7 @@ from .aggregate import BordaConfig
 from .errors import ValidationError
 from .evaluate import MethodParams
 from .normalize import AttributeSpec
-from .values import term_index, term_indices
+from .values import fold_label, term_index, term_indices
 from .weights import subjective_interval_weights
 
 __all__ = ["DecisionProblem", "parse_problem", "parse_problem_dict"]
@@ -114,8 +114,8 @@ def _as_number(value, where: str) -> float:
         ) from None
 
 
-def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> tuple[float, float]:
-    """Validate one cell and return its bounds: values, or term indices."""
+def _parse_cell(raw, kind: str, terms: dict[str, int], where: str) -> tuple[float, float]:
+    """Validate one cell and return its bounds: values, or term indices in ``terms``."""
     try:
         if kind == "real":
             if isinstance(raw, dict):
@@ -148,7 +148,7 @@ def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> tuple[fl
                 raise ValidationError(
                     f"{where}: linguistic cell must look like {{\"ling\": \"high\"}}, got {raw!r}"
                 )
-            k = term_index(raw["ling"], aliases)
+            k = term_index(raw["ling"], terms)
             return k, k
         # uncertain-linguistic
         if not (isinstance(raw, dict) and set(raw) == {"uncertain"}):
@@ -159,7 +159,7 @@ def _parse_cell(raw, kind: str, aliases: dict[str, str], where: str) -> tuple[fl
         pair = raw["uncertain"]
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(t, str) for t in pair)):
             raise ValidationError(f"{where}: uncertain cell needs two term labels, got {pair!r}")
-        lower, upper = term_index(pair[0], aliases), term_index(pair[1], aliases)
+        lower, upper = term_index(pair[0], terms), term_index(pair[1], terms)
         if lower > upper:
             raise ValidationError(
                 f"uncertain linguistic range out of order: [{pair[0]!r}, {pair[1]!r}]"
@@ -219,7 +219,7 @@ def _bulk_column(cells: tuple, kind: str, terms: dict[str, int]) -> list:
 
 
 def _parse_matrix(
-    rows: list, plans: list[str], attributes: list[AttributeSpec], aliases: dict[str, str]
+    rows: list, plans: list[str], attributes: list[AttributeSpec], terms: dict[str, int]
 ) -> np.ndarray:
     """The (len(rows), m, 2) bounds of well-shaped matrix rows, a column at a time.
 
@@ -227,7 +227,6 @@ def _parse_matrix(
     in row-major order, so the first bad cell raises the same located
     message as a cell-by-cell pass would.
     """
-    terms = term_indices(aliases)
     k, m = len(rows), len(attributes)
     flat: list = []
     slow = []
@@ -241,7 +240,7 @@ def _parse_matrix(
     for i in range(k if slow else 0):
         for j in slow:
             where = f"plan {plans[i]!r}, attribute {attributes[j].id!r}"
-            raw[i, j] = _parse_cell(rows[i][j], attributes[j].kind, aliases, where)
+            raw[i, j] = _parse_cell(rows[i][j], attributes[j].kind, terms, where)
     return raw
 
 
@@ -276,20 +275,16 @@ def _parse_preference(entry, where: str) -> list[float]:
     return q
 
 
-def _parse_aliases(data) -> dict[str, str]:
-    if data is None:
-        return {}
+def _parse_aliases(data) -> tuple[dict[str, str], dict[str, int]]:
+    """The aliases keyed by their folded spellings, and the label table they give."""
+    data = {} if data is None else data
     _require(isinstance(data, dict), "linguistic_aliases must be an object")
-    aliases: dict[str, str] = {}
     for key, value in data.items():
         _require(
             isinstance(key, str) and isinstance(value, str),
             f"linguistic_aliases entry {key!r}: both sides must be strings",
         )
-        # The target must itself resolve on the canonical scale.
-        term_index(value)
-        aliases[" ".join(key.strip().lower().split())] = value
-    return aliases
+    return {fold_label(key): value for key, value in data.items()}, term_indices(data)
 
 
 def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -411,7 +406,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     ids = [a.id for a in attributes]
     _require(len(set(ids)) == len(ids), "attribute ids must be unique")
 
-    aliases = _parse_aliases(data.get("linguistic_aliases"))
+    aliases, terms = _parse_aliases(data.get("linguistic_aliases"))
 
     n, m = len(plans), len(attributes)
     matrix = data.get("matrix")
@@ -422,7 +417,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     # cells in rows above a malformed row are checked, and located, first
     short = next((i for i, row in enumerate(matrix)
                   if not (isinstance(row, list) and len(row) == m)), n)
-    raw = _parse_matrix(matrix[:short], plans, attributes, aliases)
+    raw = _parse_matrix(matrix[:short], plans, attributes, terms)
     if short < n:
         raise ValidationError(f"plan {plans[short]!r}: matrix row must have {m} cells")
 

@@ -17,6 +17,7 @@ from .errors import ValidationError
 __all__ = [
     "DEFAULT_ALIASES",
     "canonical_labels",
+    "fold_label",
     "term_index",
     "term_indices",
     "term_to_triangle",
@@ -38,8 +39,6 @@ _SCALE: dict[int, tuple[str, tuple[float, float, float]]] = {
     5: ("extremely high", (0.9, 1.0, 1.0)),
 }
 
-_LABEL_TO_INDEX = {label: idx for idx, (label, _) in _SCALE.items()}
-
 # Synonyms accepted on input. Problem files may extend or override these.
 DEFAULT_ALIASES: dict[str, str] = {
     "ordinary": "general",
@@ -53,46 +52,53 @@ def canonical_labels() -> list[str]:
     return [label for _, (label, _) in sorted(_SCALE.items())]
 
 
-def _normalize_label(label: str) -> str:
-    return " ".join(label.strip().lower().split())
+def fold_label(label: str) -> str:
+    """A spelling as the label table keys it: lower case, single spaces, trimmed."""
+    return " ".join(label.lower().split())
 
 
-def term_index(label: str, aliases: dict[str, str] | None = None) -> int:
-    """Resolve a label, case-insensitively, through the alias map to its index.
-
-    Custom aliases take precedence over the built-in ones. Unknown labels
-    raise :class:`ValidationError` listing every accepted spelling.
-    """
-    key = _normalize_label(label)
-    if aliases and key in aliases:
-        key = _normalize_label(aliases[key])
-    if key in DEFAULT_ALIASES:
-        key = DEFAULT_ALIASES[key]
-    if key not in _LABEL_TO_INDEX:
-        accepted = ", ".join(
-            canonical_labels() + sorted(DEFAULT_ALIASES) + sorted(aliases or {})
-        )
-        raise ValidationError(
-            f"unknown linguistic term {label!r}; accepted terms: {accepted}"
-        )
-    return _LABEL_TO_INDEX[key]
-
-
-_BUILT_IN_INDICES = {
-    label: term_index(label) for label in canonical_labels() + sorted(DEFAULT_ALIASES)
-}
+# The label table without problem aliases: canonical labels, then default aliases.
+_BUILT_IN_INDICES = {label: idx for idx, (label, _) in sorted(_SCALE.items())}
+_BUILT_IN_INDICES |= {alias: _BUILT_IN_INDICES[t] for alias, t in sorted(DEFAULT_ALIASES.items())}
 
 
 def term_indices(aliases: dict[str, str] | None = None) -> dict[str, int]:
-    """Every accepted spelling, canonical labels first, mapped to its index.
+    """The label table: every accepted spelling, folded, mapped to its index.
 
-    The keys are folded spellings, so a label looked up here exactly resolves
-    as :func:`term_index` would resolve it; custom aliases take precedence.
+    The built-in spellings come first, canonical labels and then the default
+    aliases, followed by the problem's ``aliases`` in folded order. An alias
+    resolves its target against the built-ins only, and one that shadows a
+    built-in spelling overrides it in that spelling's place. An unknown target,
+    or two keys that fold to one spelling, raise :class:`ValidationError`
+    naming the ``linguistic_aliases`` entries at fault.
     """
-    indices = dict(_BUILT_IN_INDICES)
-    # an alias that shadows a built-in spelling keeps that spelling's place
-    indices.update((label, term_index(label, aliases)) for label in sorted(aliases or {}))
-    return indices
+    terms, keys = dict(_BUILT_IN_INDICES), {}
+    # a stable sort: keys that fold alike end up next to each other, in order
+    for key in sorted(aliases or {}, key=fold_label):
+        label = fold_label(key)
+        if label in keys:
+            raise ValidationError(
+                f"linguistic_aliases keys {keys[label]!r} and {key!r} both fold to {label!r}"
+            )
+        try:
+            terms[label], keys[label] = term_index(aliases[key]), key
+        except ValidationError as exc:
+            raise ValidationError(f"linguistic_aliases entry {key!r}: {exc}") from None
+    return terms
+
+
+def term_index(label: str, terms: dict[str, int] = _BUILT_IN_INDICES) -> int:
+    """The index of ``label``, folded, in a label table from :func:`term_indices`.
+
+    By default the built-in spellings alone are accepted. An unknown label
+    raises :class:`ValidationError` listing every accepted spelling once.
+    """
+    try:
+        return terms[fold_label(label)]
+    except KeyError:
+        raise ValidationError(
+            f"unknown linguistic term {label!r}; accepted terms: {', '.join(terms)}"
+        ) from None
 
 
 def term_to_triangle(index: int) -> tuple[float, float, float]:

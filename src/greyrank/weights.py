@@ -26,7 +26,6 @@ from .evaluate import _check_matrix
 __all__ = [
     "WeightBundle",
     "comprehensive_objective",
-    "deviation_totals",
     "entropy_weight_table",
     "final_weights",
     "optimization_weights",
@@ -63,18 +62,13 @@ def subjective_interval_weights(expert_vectors) -> np.ndarray:
     return _interval_rows(np.column_stack((v.min(axis=0), v.max(axis=0))))
 
 
-def deviation_totals(x: np.ndarray) -> np.ndarray:
-    """Per-attribute sum of 4-D distances over all ordered plan pairs."""
-    return pairwise_deviation_sums(_check_matrix(x))
-
-
 def optimization_weights(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Deviation-maximizing weights renormalized to sum to one, and notes;
     uniform, with one note, when all plans are identical."""
     # The weights are a ratio of totals, so an exact power of two cancels; it
     # keeps the squared distances of huge entries finite.
     x = _check_matrix(x)
-    totals = deviation_totals(np.ldexp(x, -np.frexp(np.abs(x).max())[1]))
+    totals = pairwise_deviation_sums(np.ldexp(x, -np.frexp(np.abs(x).max())[1]))
     total = float(totals.sum())
     if total <= 0:
         return np.full(len(totals), 1.0 / len(totals)), [
@@ -100,6 +94,9 @@ def entropy_weight_table(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     if n == 1:
         # A single plan carries no dispersion information.
         return np.tile(uniform, (4, 1)), ["single plan: entropy weights fall back to uniform"] * 4
+    # A column's distribution is scale-free, and an exact power of two per
+    # column keeps the sum of huge entries finite.
+    x = np.ldexp(x, -np.frexp(x.max(axis=0))[1])
     col_sums = x.sum(axis=0)
     p = x / np.where(col_sums > 0, col_sums, 1.0)
     plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
@@ -151,8 +148,10 @@ def final_weights(alpha, beta, ids: Sequence[str] | None = None) -> np.ndarray:
     den_hi = float(prod_hi.sum())
     den_lo = float(prod_lo.sum())
     if den_hi <= 0 or den_lo <= 0:
+        bound = "lower" if den_lo <= 0 else "upper"
         raise DegenerateProblemError(
-            "composite weights degenerate: a weight product sum is zero"
+            f"composite weights degenerate: no attribute has a nonzero product of its "
+            f"{bound} subjective_weights bound and its {bound} objective weight"
         )
     with np.errstate(over="ignore"):
         hi = np.ldexp(prod_hi / den_lo, e_hi - e_lo)

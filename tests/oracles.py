@@ -19,6 +19,7 @@ import numpy as np
 from greyrank.errors import DegenerateProblemError, ValidationError
 from greyrank.normalize import _TRIANGLES, AttributeSpec
 from greyrank.problem import _parse_cell, _parse_preference
+from greyrank.values import term_indices
 
 
 def brute_deviation_coefficients(x: np.ndarray) -> np.ndarray:
@@ -263,14 +264,14 @@ def loop_matrix_bounds(
     matrix: list, plans: list[str], specs: Sequence[AttributeSpec], aliases: dict[str, str]
 ) -> np.ndarray:
     """The (n, m, 2) cell bounds, one row and then one cell at a time."""
-    m = len(specs)
+    m, terms = len(specs), term_indices(aliases)
     bounds: list[float] = []
     for i, row in enumerate(matrix):
         if not (isinstance(row, list) and len(row) == m):
             raise ValidationError(f"plan {plans[i]!r}: matrix row must have {m} cells")
         for j, cell in enumerate(row):
             where = f"plan {plans[i]!r}, attribute {specs[j].id!r}"
-            bounds.extend(_parse_cell(cell, specs[j].kind, aliases, where))
+            bounds.extend(_parse_cell(cell, specs[j].kind, terms, where))
     return np.array(bounds, dtype=np.float64).reshape(len(matrix), m, 2)
 
 

@@ -22,7 +22,7 @@ from greyrank import (
     parse_problem_dict,
     run_pipeline,
 )
-from greyrank._kernels import distance_grid
+from greyrank._kernels import distance_grid, pairwise_deviation_sums
 from greyrank.aggregate import weighted_borda
 from greyrank.cli import main
 from greyrank.evaluate import (
@@ -33,7 +33,7 @@ from greyrank.evaluate import (
     membership_degrees,
 )
 from greyrank.normalize import normalize_matrix
-from greyrank.weights import deviation_totals, optimization_weights
+from greyrank.weights import optimization_weights
 
 from oracles import (
     brute_deviation_coefficients,
@@ -146,7 +146,7 @@ def test_c3_deviation_weights_against_projected_ascent():
         c = brute_deviation_coefficients(x)
         if c.sum() <= 0:
             continue
-        totals = deviation_totals(x)
+        totals = pairwise_deviation_sums(x)
         closed = totals / np.linalg.norm(totals)
         ascent = projected_ascent_beta(x, rng=rng)
         gap = abs(float(c @ closed) - float(c @ ascent))

@@ -167,8 +167,43 @@ def test_custom_alias_applies_to_cells():
 
 
 def test_alias_target_must_resolve():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="linguistic_aliases"):
         parse_problem_dict(toy(linguistic_aliases={"meh": "not a term"}))
+
+
+def test_alias_target_resolves_against_the_built_ins_only():
+    # "meh" -> "so-so" would need a second hop through the problem's aliases
+    with pytest.raises(ValidationError) as err:
+        parse_problem_dict(toy(linguistic_aliases={"so-so": "general", "meh": "so-so"}))
+    assert str(err.value).startswith(
+        "linguistic_aliases entry 'meh': unknown linguistic term 'so-so'; accepted terms: "
+    )
+
+
+def test_alias_keys_that_fold_alike_are_rejected():
+    with pytest.raises(ValidationError) as err:
+        parse_problem_dict(toy(linguistic_aliases={"Meh": "low", "meh": "high"}))
+    assert str(err.value) == "linguistic_aliases keys 'Meh' and 'meh' both fold to 'meh'"
+    with pytest.raises(ValidationError, match="' HIGH ' and 'high'"):
+        parse_problem_dict(toy(linguistic_aliases={" HIGH ": "low", "high": "low"}))
+
+
+def accepted_terms(data) -> list[str]:
+    """The spellings an unknown-label message lists for ``data``."""
+    with pytest.raises(ValidationError) as err:
+        parse_problem_dict(data)
+    return str(err.value).split("; accepted terms: ")[1].split(", ")
+
+
+def test_accepted_terms_are_listed_once():
+    data = toy(linguistic_aliases={"high": "low"})
+    data["matrix"][0][2] = {"ling": "sort of high"}
+    listed = accepted_terms(data)
+    assert listed == canonical_labels() + sorted(DEFAULT_ALIASES)
+    # the bundled problem's three aliases repeat the default ones
+    data = fighter_document()
+    data["matrix"][4][8] = {"uncertain": ["very low", "sort of low"]}
+    assert accepted_terms(data) == listed
 
 
 def test_subjective_weights_variants():

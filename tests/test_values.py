@@ -70,9 +70,9 @@ def test_builtin_aliases_resolve():
 
 
 def test_custom_aliases_take_precedence():
-    assert term_index("ok", {"ok": "general"}) == 0
+    assert term_index("ok", term_indices({"ok": "general"})) == 0
     # custom alias may redirect a built-in spelling
-    assert term_index("ordinary", {"ordinary": "high"}) == term_index("high")
+    assert term_index("ordinary", term_indices({"ordinary": "high"})) == term_index("high")
 
 
 def test_term_indices_resolve_as_term_index():
@@ -80,7 +80,7 @@ def test_term_indices_resolve_as_term_index():
     table = term_indices(aliases)
     assert list(table)[:11] == canonical_labels()
     assert list(table)[-1] == "ok"  # shadowing aliases keep the built-in spelling's place
-    assert table == {label: term_index(label, aliases) for label in table}
+    assert table == {label: term_index(f" {label.upper()} ", table) for label in table}
     assert table["high"] == -3 and table["ordinary"] == 3
     assert term_indices() == {label: term_index(label) for label in term_indices()}
 

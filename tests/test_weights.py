@@ -11,9 +11,9 @@ from greyrank import (
     load_fighter_problem,
     run_pipeline,
 )
+from greyrank._kernels import pairwise_deviation_sums
 from greyrank.weights import (
     comprehensive_objective,
-    deviation_totals,
     entropy_weight_table,
     final_weights,
     optimization_weights,
@@ -41,7 +41,7 @@ def test_deviation_totals_match_brute_force():
     rng = np.random.default_rng(7)
     x = random_generalized_matrix(rng, 5, 4)
     np.testing.assert_allclose(
-        deviation_totals(x), brute_deviation_coefficients(x), rtol=1e-12, atol=1e-12
+        pairwise_deviation_sums(x), brute_deviation_coefficients(x), rtol=1e-12, atol=1e-12
     )
 
 
@@ -55,7 +55,7 @@ def test_objective_weights_reject_bad_matrix_shapes(shape):
 def test_optimization_weights_normalizations():
     rng = np.random.default_rng(11)
     x = random_generalized_matrix(rng, 4, 3)
-    totals = deviation_totals(x)
+    totals = pairwise_deviation_sums(x)
     unit = totals / np.linalg.norm(totals)
     summed, notes = optimization_weights(x)
     assert notes == []
@@ -116,6 +116,19 @@ def test_entropy_weight_table_shape_and_sums():
     assert (table >= 0).all()
 
 
+def test_entropy_weights_of_huge_columns_are_scale_free():
+    # a column whose entries are finite but whose sum is not weighs as the
+    # same column at unit scale, bit for bit
+    rng = np.random.default_rng(5)
+    x = random_generalized_matrix(rng, 5, 3)
+    huge = x.copy()
+    huge[:, 1] = np.ldexp(x[:, 1], 1023 - int(np.frexp(x[:, 1].max())[1]))
+    with np.errstate(over="ignore"):
+        assert np.isinf(huge[:, 1].sum(axis=0)).any()
+    base, _ = entropy_weight_table(x)
+    assert entropy_weight_table(huge)[0].tobytes() == base.tobytes()
+
+
 def test_entropy_weights_permutation_equivariant():
     rng = np.random.default_rng(17)
     x = random_generalized_matrix(rng, 5, 4)
@@ -170,6 +183,13 @@ def test_final_weights_degenerate_zero_denominator():
         final_weights(np.array([[0.0, 0.0]]), np.array([[0.5, 0.5]]))
 
 
+def test_final_weights_degenerate_names_the_bound():
+    # only the second attribute has a positive subjective lower bound, and its
+    # objective lower bound is zero
+    with pytest.raises(DegenerateProblemError, match="its lower subjective_weights bound"):
+        final_weights(np.array([[0.0, 0.1], [0.1, 0.2]]), np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+
 def test_final_weights_scale_each_bound_on_its_own():
     # scaled by the largest upper bound, every lower bound would be subnormal
     # and keep only about 17 bits; here each column has its own scale
@@ -214,7 +234,7 @@ def test_pipeline_weight_bundle_shapes():
 def test_optimization_weights_scale_invariant(n, m, seed):
     rng = np.random.default_rng(seed)
     x = random_generalized_matrix(rng, n, m)
-    c = deviation_totals(x)
+    c = pairwise_deviation_sums(x)
     if c.sum() <= 0:
         return
     base, _ = optimization_weights(x)
