@@ -7,6 +7,7 @@ import pytest
 from greyrank import (
     ValidationError,
     emit_report,
+    fighter_problem_path,
     load_fighter_problem,
     parse_problem_dict,
     run_pipeline,
@@ -96,9 +97,21 @@ def test_fighter_json_report_is_one_compact_line():
     assert out.count("\n") == 1
 
 
-def test_fighter_reports_match_golden():
+def _fighter_x3():
+    """Fighter tiled three times, plans G1a..G5a, G1b..G5b, G1c..G5c: every
+    method ties each plan with its copies, which are not adjacent by index."""
+    doc = json.loads(fighter_problem_path().read_text())
+    doc["plans"] = [f"{p}{t}" for t in "abc" for p in doc["plans"]]
+    doc["matrix"] *= 3
+    doc["preferences"] *= 3
+    return parse_problem_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["fighter", "fighter-x3"])
+def test_fighter_reports_match_golden(name):
     # a refactor must not move a byte of the text or CSV report; the
     # json-report is left out, as its last float digits follow summation order
-    report = run_pipeline(load_fighter_problem())
-    assert emit_report(report, "text") == (GOLDEN / "fighter.txt").read_bytes()
-    assert emit_report(report, "csv") == (GOLDEN / "fighter.csv").read_bytes()
+    load = {"fighter": load_fighter_problem, "fighter-x3": _fighter_x3}[name]
+    report = run_pipeline(load())
+    assert emit_report(report, "text") == (GOLDEN / f"{name}.txt").read_bytes()
+    assert emit_report(report, "csv") == (GOLDEN / f"{name}.csv").read_bytes()
