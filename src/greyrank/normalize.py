@@ -96,14 +96,16 @@ def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndar
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c, a, b = cost[~terms, None], lo[~terms], hi[~terms]
         bad[~terms] = np.where(c, a <= 0, a < 0)
-        # The rule is scale-free; an exact power of two per column keeps huge
-        # sums and the reciprocals of tiny values finite.
-        e = -np.frexp(b.max(axis=1))[1][:, None]
-        a, b = np.ldexp(a, e), np.ldexp(b, e)
-        a, b = np.where(c, 1.0 / b, a), np.where(c, 1.0 / a, b)
-        sum_a, sum_b = a.sum(axis=1)[:, None], b.sum(axis=1)[:, None]
-        zero[~terms] = ~c[:, 0] & (sum_a[:, 0] <= 0)
-        x_lo, x_hi = a / sum_b, b / sum_a
+        # The rule is scale-free, so it runs on the mantissas and exponents of
+        # the bounds (a, b), v = f * 2^e: a cost reciprocal is (1/f) * 2^-e,
+        # which never overflows. Each bound column sums scaled by its own largest
+        # exponent, and each quotient undoes the scales in one ldexp.
+        f, e = np.frexp(np.stack([np.where(c, b, a), np.where(c, a, b)]))
+        f, e = np.where(c, 1.0 / f, f), np.where(c, -e, e)
+        top = e.max(axis=2, keepdims=True)
+        sums = np.ldexp(f, e - top).sum(axis=2, keepdims=True)
+        zero[~terms] = ~c[:, 0] & (sums[0, :, 0] <= 0)
+        x_lo, x_hi = np.ldexp(f / sums[::-1], e - top[::-1])
         x[:, ~terms, 0] = x[:, ~terms, 1] = x_lo.T
         x[:, ~terms, 2] = x[:, ~terms, 3] = x_hi.T
 

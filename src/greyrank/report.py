@@ -3,6 +3,11 @@
 The one module that knows the output formats, the json-report schema included.
 All three renderers are deterministic: the same report always produces the
 same bytes, so outputs can be diffed or checked into golden files.
+
+Text and CSV share one table model. Floats are formatted a whole array at a
+time by ``_fmt`` (six decimals), and the per-plan columns once per render by
+``_plan_columns``. Text lays the plan tables out with ``_plan_table``; CSV
+writes every section, header, rows and blank line, through one ``section``.
 """
 
 from __future__ import annotations
@@ -23,24 +28,48 @@ __all__ = ["FORMATS", "emit_report", "render_text", "render_csv", "render_json"]
 FORMATS = ("text", "csv", "json-report")
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.6f}"
+def _fmt(values) -> list[str]:
+    """Every entry to six decimals, in C order; the strings ``f"{v:.6f}"`` gives."""
+    return ["%.6f" % v for v in np.ravel(values).tolist()]
+
+
+def _plan_columns(report: Report) -> list[list[str]]:
+    """The per-plan float columns, formatted once: the four method scores,
+    then gplus, gminus, borda and tiebreak."""
+    table = np.array([ms.scores for ms in report.methods] + [
+        report.incidence["gplus"], report.incidence["gminus"],
+        report.result.borda_scores, report.result.tiebreak_scores,
+    ])
+    cells, n = _fmt(table), table.shape[1]
+    return [cells[k:k + n] for k in range(0, len(cells), n)]
+
+
+def _keyed_rows(keys: list[tuple], values: np.ndarray) -> list[list[str]]:
+    """One row per key: its fields, then its equal share of ``values`` formatted in C order."""
+    cells = iter(_fmt(values))
+    return [[*key, *row] for key, row in zip(keys, zip(*[cells] * (values.size // len(keys))))]
 
 
 def _ranking_line(plans: list[str], ranks: np.ndarray) -> str:
     """Render a ranking as ``G2 > G5 = G1 > G3``, ties joined with ``=``."""
-    order = sorted(range(len(plans)), key=lambda i: (ranks[i], i))
-    parts = [plans[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        parts.append("=" if ranks[cur] == ranks[prev] else ">")
-        parts.append(plans[cur])
-    return " ".join(parts)
+    order = np.argsort(ranks, kind="stable").tolist()  # ties keep plan index order
+    rank = ranks.tolist()
+    return " ".join([plans[order[0]]] + [f"{'=' if rank[i] == rank[k] else '>'} {plans[k]}"
+                                         for i, k in zip(order, order[1:])])
+
+
+def _plan_table(plans: list[str], head: list[str], cols: list[list[str]], width: int) -> list[str]:
+    """A header and one line per plan: the plan left in 10, each column right in ``width``."""
+    rows = zip(["plan", *plans], *([h, *col] for h, col in zip(head, cols)))
+    return [f"  {plan:<10}" + "".join([cell.rjust(width) for cell in cells])
+            for plan, *cells in rows]
 
 
 def render_text(report: Report) -> str:
     lines: list[str] = []
     out = lines.append
     problem = report.problem
+    plans = problem.plans
 
     out(f"greyrank report: {problem.name}")
     out(f"plans: {problem.n_plans}   attributes: {problem.n_attributes}")
@@ -70,50 +99,36 @@ def render_text(report: Report) -> str:
             out(f"  - {note}")
     out("")
 
+    # The header is not aligned with the rows; these bytes are fixed by the goldens.
     out("interval weights (subjective x objective):")
     out(f"  {'attribute':<12} {'alpha':>19} {'beta':>19} {'final':>19}")
-    for j, attr in enumerate(problem.attributes):
-        a = problem.subjective[j]
-        b = report.weights.beta_interval[j]
-        w = report.weights.w_final[j]
+    weights = report.weights
+    for attr, a, b, w in zip(problem.attributes, problem.subjective.tolist(),
+                             weights.beta_interval.tolist(), weights.w_final.tolist()):
         out(
             f"  {attr.id:<12} [{a[0]:.4f}, {a[1]:.4f}]  "
             f"[{b[0]:.4f}, {b[1]:.4f}]  [{w[0]:.4f}, {w[1]:.4f}]"
         )
     out("")
 
+    *scores, gplus, gminus, borda, tiebreak = _plan_columns(report)
     out("method scores (rows are plans):")
-    header = f"  {'plan':<10}" + "".join(f"{ms.method:>16}" for ms in report.methods)
-    out(header)
-    for i, plan in enumerate(problem.plans):
-        row = f"  {plan:<10}" + "".join(f"{_fmt(ms.scores[i]):>16}" for ms in report.methods)
-        out(row)
+    lines += _plan_table(plans, [ms.method for ms in report.methods], scores, 16)
     out("")
 
-    gp, gm = report.incidence["gplus"], report.incidence["gminus"]
+    beta1, beta2 = _fmt([report.incidence["beta1"], report.incidence["beta2"]])
     out("incidence degrees against the ideals:")
-    out(f"  {'plan':<10}{'positive':>16}{'negative':>16}")
-    for i, plan in enumerate(problem.plans):
-        out(f"  {plan:<10}{_fmt(gp[i]):>16}{_fmt(gm[i]):>16}")
-    out(
-        "  max-entropy pair weights: "
-        f"beta1 = {_fmt(report.incidence['beta1'])}, "
-        f"beta2 = {_fmt(report.incidence['beta2'])}"
-    )
+    lines += _plan_table(plans, ["positive", "negative"], [gplus, gminus], 16)
+    out(f"  max-entropy pair weights: beta1 = {beta1}, beta2 = {beta2}")
     out("")
 
     for ms in report.methods:
-        out(f"ranking ({ms.method}): " + _ranking_line(problem.plans, ms.ranks))
+        out(f"ranking ({ms.method}): " + _ranking_line(plans, ms.ranks))
     out("")
 
     out("weighted borda:")
-    out(f"  {'plan':<10}{'borda':>12}{'tiebreak':>12}{'final rank':>12}")
-    for i, plan in enumerate(problem.plans):
-        out(
-            f"  {plan:<10}{_fmt(report.result.borda_scores[i]):>12}"
-            f"{_fmt(report.result.tiebreak_scores[i]):>12}"
-            f"{report.result.final_ranks[i]:>12d}"
-        )
+    final = [str(r) for r in report.result.final_ranks.tolist()]
+    lines += _plan_table(plans, ["borda", "tiebreak", "final rank"], [borda, tiebreak, final], 12)
     out("")
     out("final ranking: " + " > ".join(report.final_order))
     out("")
@@ -124,95 +139,50 @@ def render_csv(report: Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     problem = report.problem
+    plans, attrs = problem.plans, problem.attributes
 
-    def section(title: str) -> None:
+    def section(title: str, head: list[str], rows) -> None:
         buf.write(f"# {title}\n")
-
-    section("parameters")
-    writer.writerow(["key", "value"])
-    writer.writerow(["name", problem.name])
-    writer.writerow(["rho", repr(problem.params.rho)])
-    writer.writerow(["theta_plus", repr(problem.params.theta_plus)])
-    writer.writerow(["theta_minus", repr(problem.params.theta_minus)])
-    writer.writerow(
-        ["borda_weights", " ".join(repr(w) for w in problem.borda.method_weights)]
-    )
-    writer.writerow(["tie_break", problem.borda.tie_break])
-    writer.writerow(["subjective_source", problem.subjective_source])
-    for key, value in sorted(problem.aliases.items()):
-        writer.writerow(["alias", f"{key} -> {value}"])
-    for note in report.notes:
-        writer.writerow(["note", note])
-    buf.write("\n")
-
-    section("attributes")
-    writer.writerow(["id", "kind", "direction"])
-    for attr in problem.attributes:
-        writer.writerow([attr.id, attr.kind, attr.direction])
-    buf.write("\n")
-
-    section("normalized")
-    writer.writerow(["plan", "attribute", "x1", "x2", "x3", "x4"])
-    for i, plan in enumerate(problem.plans):
-        for j, attr in enumerate(problem.attributes):
-            writer.writerow([plan, attr.id] + [_fmt(v) for v in report.normalized[i, j]])
-    buf.write("\n")
-
-    section("weights")
-    writer.writerow(
-        ["attribute", "alpha_lo", "alpha_hi", "beta_opt",
-         "beta_ent_1", "beta_ent_2", "beta_ent_3", "beta_ent_4",
-         "beta_lo", "beta_hi", "w_lo", "w_hi"]
-    )
-    for j, attr in enumerate(problem.attributes):
-        a = problem.subjective[j]
-        b = report.weights.beta_interval[j]
-        w = report.weights.w_final[j]
-        writer.writerow(
-            [attr.id, _fmt(a[0]), _fmt(a[1]), _fmt(report.weights.beta_opt[j])]
-            + [_fmt(report.weights.beta_ent[k, j]) for k in range(4)]
-            + [_fmt(b[0]), _fmt(b[1]), _fmt(w[0]), _fmt(w[1])]
-        )
-    buf.write("\n")
-
-    section("ideal_vectors")
-    writer.writerow(["attribute", "bound", "y1", "y2", "y3", "y4"])
-    for j, attr in enumerate(problem.attributes):
-        writer.writerow([attr.id, "positive"] + [_fmt(v) for v in report.ideals.positive[j]])
-        writer.writerow([attr.id, "negative"] + [_fmt(v) for v in report.ideals.negative[j]])
-    buf.write("\n")
-
-    section("incidence")
-    writer.writerow(["plan", "gplus", "gminus"])
-    gp, gm = report.incidence["gplus"], report.incidence["gminus"]
-    for i, plan in enumerate(problem.plans):
-        writer.writerow([plan, _fmt(gp[i]), _fmt(gm[i])])
-    writer.writerow(["beta1", _fmt(report.incidence["beta1"]), ""])
-    writer.writerow(["beta2", _fmt(report.incidence["beta2"]), ""])
-    buf.write("\n")
-
-    for ms in report.methods:
-        section(f"method {ms.method}")
-        writer.writerow(["plan", "score", "rank"])
-        for i, plan in enumerate(problem.plans):
-            writer.writerow([plan, _fmt(ms.scores[i]), int(ms.ranks[i])])
+        writer.writerow(head)
+        writer.writerows(rows)
         buf.write("\n")
 
-    section("borda")
-    writer.writerow(["plan", "borda_score", "tiebreak_score", "final_rank"])
-    for i, plan in enumerate(problem.plans):
-        writer.writerow(
-            [plan, _fmt(report.result.borda_scores[i]),
-             _fmt(report.result.tiebreak_scores[i]), int(report.result.final_ranks[i])]
-        )
-    buf.write("\n")
+    section("parameters", ["key", "value"], [
+        ["name", problem.name],
+        ["rho", repr(problem.params.rho)],
+        ["theta_plus", repr(problem.params.theta_plus)],
+        ["theta_minus", repr(problem.params.theta_minus)],
+        ["borda_weights", " ".join(repr(w) for w in problem.borda.method_weights)],
+        ["tie_break", problem.borda.tie_break],
+        ["subjective_source", problem.subjective_source],
+        *(["alias", f"{key} -> {value}"] for key, value in sorted(problem.aliases.items())),
+        *(["note", note] for note in report.notes),
+    ])
+    section("attributes", ["id", "kind", "direction"],
+            [[a.id, a.kind, a.direction] for a in attrs])
+    section("normalized", ["plan", "attribute", "x1", "x2", "x3", "x4"],
+            _keyed_rows([(p, a.id) for p in plans for a in attrs], report.normalized))
+    w = report.weights
+    section("weights", ["attribute", "alpha_lo", "alpha_hi", "beta_opt",
+                        "beta_ent_1", "beta_ent_2", "beta_ent_3", "beta_ent_4",
+                        "beta_lo", "beta_hi", "w_lo", "w_hi"],
+            _keyed_rows([(a.id,) for a in attrs], np.column_stack(
+                [problem.subjective, w.beta_opt, w.beta_ent.T, w.beta_interval, w.w_final])))
+    section("ideal_vectors", ["attribute", "bound", "y1", "y2", "y3", "y4"],
+            _keyed_rows([(a.id, bound) for a in attrs for bound in ("positive", "negative")],
+                        np.stack([report.ideals.positive, report.ideals.negative], axis=1)))
 
-    section("final_ranking")
-    writer.writerow(["position", "plan"])
-    for pos, plan in enumerate(report.final_order, start=1):
-        writer.writerow([pos, plan])
-
-    return buf.getvalue()
+    *scores, gplus, gminus, borda, tiebreak = _plan_columns(report)
+    beta1, beta2 = _fmt([report.incidence["beta1"], report.incidence["beta2"]])
+    section("incidence", ["plan", "gplus", "gminus"],
+            [*zip(plans, gplus, gminus), ["beta1", beta1, ""], ["beta2", beta2, ""]])
+    for ms, col in zip(report.methods, scores):
+        section(f"method {ms.method}", ["plan", "score", "rank"],
+                zip(plans, col, ms.ranks.tolist()))
+    section("borda", ["plan", "borda_score", "tiebreak_score", "final_rank"],
+            zip(plans, borda, tiebreak, report.result.final_ranks.tolist()))
+    section("final_ranking", ["position", "plan"], enumerate(report.final_order, start=1))
+    return buf.getvalue()[:-1]  # no blank line after the last section
 
 
 def _matrix_rows(problem: DecisionProblem) -> list:

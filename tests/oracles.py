@@ -4,6 +4,7 @@ Everything here is deliberately written the slow, obvious way (plain loops,
 grid/line searches) so it shares no code path with the package internals.
 ``loop_normalize_matrix`` is the column-by-column normalization that the
 one-pass ``normalize_matrix`` replaced; it shares only the term triangles.
+``exact_interval_rule`` is the interval rule in ``Fraction`` arithmetic.
 ``loop_matrix_bounds`` and ``loop_preferences`` are the cell-by-cell parse
 that the column-at-a-time parse replaced; they share the per-cell and
 per-entry validators, which the parse keeps as its error locators.
@@ -12,6 +13,7 @@ per-entry validators, which the parse keeps as its error locators.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -161,41 +163,42 @@ def random_generalized_matrix(
     return np.sort(rng.random((n, m, 4)) * scale, axis=2)
 
 
+def exact_interval_rule(lo: Sequence[float], hi: Sequence[float],
+                        direction: str) -> list[tuple[Fraction, Fraction]]:
+    """The interval rule on one column in exact arithmetic: ``(x_lo, x_hi)`` per row."""
+    lo, hi = [Fraction(v) for v in lo], [Fraction(v) for v in hi]
+    if direction == "cost":
+        lo, hi = [1 / v for v in hi], [1 / v for v in lo]
+    return [(a / sum(hi), b / sum(lo)) for a, b in zip(lo, hi)]
+
+
 def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> np.ndarray:
-    if spec.direction == "cost":
-        if (lo <= 0).any():
-            bad = int(np.argmax(lo <= 0))
-            raise ValidationError(
-                f"attribute {spec.id!r}, row {bad}: cost column requires strictly "
-                f"positive values, got {lo[bad]}"
-            )
-        # The rule is scale-free; an exact power of two keeps the reciprocals of
-        # tiny values finite. One that still overflows is located by normalize_matrix.
-        e = -np.frexp(hi.max())[1]
-        lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            inv_lo_sum = (1.0 / lo).sum()
-            inv_hi_sum = (1.0 / hi).sum()
-            x_lo = (1.0 / hi) / inv_lo_sum
-            x_hi = (1.0 / lo) / inv_hi_sum
-    else:
-        if (lo < 0).any():
-            bad = int(np.argmax(lo < 0))
-            raise ValidationError(
-                f"attribute {spec.id!r}, row {bad}: negative value {lo[bad]} in a "
-                f"benefit column is not supported"
-            )
-        # The rule is scale-free; an exact power of two keeps huge sums finite.
-        e = -np.frexp(hi.max())[1]
-        lo, hi = np.ldexp(lo, e), np.ldexp(hi, e)
-        lo_sum = lo.sum()
-        hi_sum = hi.sum()
-        if lo_sum <= 0:
-            raise DegenerateProblemError(
-                f"attribute {spec.id!r}: benefit column sums to zero"
-            )
-        x_lo = lo / hi_sum
-        x_hi = hi / lo_sum
+    cost = spec.direction == "cost"
+    if cost and (lo <= 0).any():
+        bad = int(np.argmax(lo <= 0))
+        raise ValidationError(
+            f"attribute {spec.id!r}, row {bad}: cost column requires strictly "
+            f"positive values, got {lo[bad]}"
+        )
+    if not cost and (lo < 0).any():
+        bad = int(np.argmax(lo < 0))
+        raise ValidationError(
+            f"attribute {spec.id!r}, row {bad}: negative value {lo[bad]} in a "
+            f"benefit column is not supported"
+        )
+    # The rule is scale-free: each bound is a mantissa and an exponent, v = f * 2^e,
+    # and the cost reciprocal 1/v is (1/f) * 2^-e. Each bound sums scaled by its
+    # own largest exponent. A value that still overflows is located by normalize_matrix.
+    (fa, ea), (fb, eb) = np.frexp(hi if cost else lo), np.frexp(lo if cost else hi)
+    if cost:
+        fa, ea, fb, eb = 1.0 / fa, -ea, 1.0 / fb, -eb
+    a_sum = np.ldexp(fa, ea - ea.max()).sum()
+    b_sum = np.ldexp(fb, eb - eb.max()).sum()
+    if not cost and a_sum <= 0:
+        raise DegenerateProblemError(f"attribute {spec.id!r}: benefit column sums to zero")
+    with np.errstate(over="ignore"):
+        x_lo = np.ldexp(fa / b_sum, ea - eb.max())
+        x_hi = np.ldexp(fb / a_sum, eb - ea.max())
     return np.stack([x_lo, x_lo, x_hi, x_hi], axis=1)
 
 

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
 import json
+import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from greyrank import DecisionProblem, fighter_problem_path, parse_problem, parse_problem_dict
 from greyrank.cli import main
 
+from oracles import exact_interval_rule
 from test_problem_io import MINIMAL, fighter_document
 
 
@@ -212,15 +215,15 @@ def test_degenerate_problem_exits_3(tmp_path, capsysbinary):
 
 
 def test_non_finite_normalized_value_is_located(tmp_path, capsysbinary):
-    # 1 / 5e-324 overflows, so the cost column normalizes to NaN; the located
-    # error is the only line on stderr
+    # the exact upper bound of a cost interval [5e-324, 1.7e308] next to ordinary
+    # ones exceeds the largest float; the located error is the only line on stderr
     data = fighter_document()
-    data["matrix"][2][0] = 5e-324
+    data["matrix"][2][3] = {"interval": [5e-324, 1.7e308]}
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     rc, out, err = run(capsysbinary, "solve", path)
     assert rc == 2 and out == b""
-    assert err.startswith(b"greyrank: error: stage normalize: attribute 'A1', row 2:")
+    assert err.startswith(b"greyrank: error: stage normalize: attribute 'A4', row 2:")
     assert err.endswith(b"is not finite\n") and err.count(b"\n") == 1
 
 
@@ -257,6 +260,26 @@ def test_tiny_cost_column_is_normalized(tmp_path, capsysbinary):
     np.testing.assert_allclose(scaled["normalized"], plain["normalized"], rtol=0, atol=1e-15)
     assert [m["ranks"] for m in scaled["methods"]] == [m["ranks"] for m in plain["methods"]]
     assert scaled["final_ranking"] == plain["final_ranking"]
+
+
+@pytest.mark.parametrize("j, column", [
+    (0, [5e-324, 1, 1, 1, 1]),
+    (0, [1e300, 1e-300, 1, 1, 1]),
+    (0, [1e-310, 3610, 1, 1, 1.7e308]),
+    (3, [[4830, 4910], [1e-300, 1e300], [4600, 4720], [4660, 4770], [4770, 4850]]),
+], ids=["subnormal", "1e300-and-1e-300", "1e-310-to-1.7e308", "wide-interval"])
+def test_cost_column_at_the_float_edges_is_exact(tmp_path, capsysbinary, j, column):
+    # every exact normalized value fits in a double; each normal one must match
+    # the exact rule, even where a reciprocal of a bound alone would overflow
+    data = fighter_document()
+    for row, cell in zip(data["matrix"], column):
+        row[j] = {"interval": cell} if isinstance(cell, list) else cell
+    lo, hi = np.array(column, dtype=float).reshape(5, -1)[:, [0, -1]].T  # a real is [v, v]
+    got = np.array(solve_json(capsysbinary, tmp_path, data)["normalized"])[:, j]
+    for (x_lo, x_hi), g in zip(exact_interval_rule(lo, hi, "cost"), got):
+        for want, value in zip((x_lo, x_lo, x_hi, x_hi), g):
+            if 2.0**-1022 <= want <= sys.float_info.max:
+                assert abs(Fraction(value) - want) <= want * 1e-12
 
 
 @pytest.mark.parametrize("rho", [1e-300, 1e-320, 5e-324])
