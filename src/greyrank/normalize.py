@@ -99,10 +99,11 @@ def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndar
         # The rule is scale-free, so it runs on the mantissas and exponents of
         # the bounds (a, b), v = f * 2^e: a cost reciprocal is (1/f) * 2^-e,
         # which never overflows. Each bound column sums scaled by its own largest
-        # exponent, and each quotient undoes the scales in one ldexp.
+        # exponent, that of a zero (which frexp gives as 0) left out, and each
+        # quotient undoes the scales in one ldexp.
         f, e = np.frexp(np.stack([np.where(c, b, a), np.where(c, a, b)]))
         f, e = np.where(c, 1.0 / f, f), np.where(c, -e, e)
-        top = e.max(axis=2, keepdims=True)
+        top = e.max(axis=2, keepdims=True, where=f != 0, initial=-1075)
         sums = np.ldexp(f, e - top).sum(axis=2, keepdims=True)
         zero[~terms] = ~c[:, 0] & (sums[0, :, 0] <= 0)
         x_lo, x_hi = np.ldexp(f / sums[::-1], e - top[::-1])

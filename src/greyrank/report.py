@@ -33,29 +33,35 @@ def _fmt(values) -> list[str]:
     return ["%.6f" % v for v in np.ravel(values).tolist()]
 
 
-def _plan_columns(report: Report) -> list[list[str]]:
-    """The per-plan float columns, formatted once: the four method scores,
-    then gplus, gminus, borda and tiebreak."""
-    table = np.array([ms.scores for ms in report.methods] + [
-        report.incidence["gplus"], report.incidence["gminus"],
-        report.result.borda_scores, report.result.tiebreak_scores,
-    ])
-    cells, n = _fmt(table), table.shape[1]
+def _fmt_rows(values: np.ndarray) -> list[list[str]]:
+    """Each row of a 2-D array formatted as by ``_fmt``, all of its cells in one call."""
+    cells, n = _fmt(values), values.shape[1]
     return [cells[k:k + n] for k in range(0, len(cells), n)]
 
 
+def _plan_columns(report: Report) -> list[list[str]]:
+    """The per-plan float columns, formatted once: the four method scores,
+    then gplus, gminus, borda and tiebreak."""
+    return _fmt_rows(np.array([ms.scores for ms in report.methods] + [
+        report.incidence["gplus"], report.incidence["gminus"],
+        report.result.borda_scores, report.result.tiebreak_scores,
+    ]))
+
+
 def _keyed_rows(keys: list[tuple], values: np.ndarray) -> list[list[str]]:
-    """One row per key: its fields, then its equal share of ``values`` formatted in C order."""
-    cells = iter(_fmt(values))
-    return [[*key, *row] for key, row in zip(keys, zip(*[cells] * (values.size // len(keys))))]
+    """One row per key: its fields, then its row of ``values`` reshaped to one row per key."""
+    rows = _fmt_rows(np.reshape(values, (len(keys), -1)))
+    return [[*key, *row] for key, row in zip(keys, rows)]
 
 
 def _ranking_line(plans: list[str], ranks: np.ndarray) -> str:
     """Render a ranking as ``G2 > G5 = G1 > G3``, ties joined with ``=``."""
     order = np.argsort(ranks, kind="stable").tolist()  # ties keep plan index order
     rank = ranks.tolist()
-    return " ".join([plans[order[0]]] + [f"{'=' if rank[i] == rank[k] else '>'} {plans[k]}"
-                                         for i, k in zip(order, order[1:])])
+    parts = [plans[order[0]]]
+    for prev, k in zip(order, order[1:]):
+        parts += ["=" if rank[prev] == rank[k] else ">", plans[k]]
+    return " ".join(parts)
 
 
 def _plan_table(plans: list[str], head: list[str], cols: list[list[str]], width: int) -> list[str]:

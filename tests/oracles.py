@@ -3,8 +3,10 @@
 Everything here is deliberately written the slow, obvious way (plain loops,
 grid/line searches) so it shares no code path with the package internals.
 ``loop_normalize_matrix`` is the column-by-column normalization that the
-one-pass ``normalize_matrix`` replaced; it shares only the term triangles.
-``exact_interval_rule`` is the interval rule in ``Fraction`` arithmetic.
+one-pass ``normalize_matrix`` replaced; it shares the term triangles and the
+interval rule's mantissa-and-exponent scaling, so it checks the one pass's
+vectorization and error order, not that scaling. ``exact_interval_rule``, the
+interval rule in ``Fraction`` arithmetic, checks the scaling.
 ``loop_matrix_bounds`` and ``loop_preferences`` are the cell-by-cell parse
 that the column-at-a-time parse replaced; they share the per-cell and
 per-entry validators, which the parse keeps as its error locators.
@@ -188,17 +190,19 @@ def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> 
         )
     # The rule is scale-free: each bound is a mantissa and an exponent, v = f * 2^e,
     # and the cost reciprocal 1/v is (1/f) * 2^-e. Each bound sums scaled by its
-    # own largest exponent. A value that still overflows is located by normalize_matrix.
+    # own largest exponent, zeros left out. A value that still overflows is
+    # located by normalize_matrix.
     (fa, ea), (fb, eb) = np.frexp(hi if cost else lo), np.frexp(lo if cost else hi)
     if cost:
         fa, ea, fb, eb = 1.0 / fa, -ea, 1.0 / fb, -eb
-    a_sum = np.ldexp(fa, ea - ea.max()).sum()
-    b_sum = np.ldexp(fb, eb - eb.max()).sum()
+    a_top, b_top = max(ea[fa != 0], default=0), max(eb[fb != 0], default=0)
+    a_sum = np.ldexp(fa, ea - a_top).sum()
+    b_sum = np.ldexp(fb, eb - b_top).sum()
     if not cost and a_sum <= 0:
         raise DegenerateProblemError(f"attribute {spec.id!r}: benefit column sums to zero")
     with np.errstate(over="ignore"):
-        x_lo = np.ldexp(fa / b_sum, ea - eb.max())
-        x_hi = np.ldexp(fb / a_sum, eb - ea.max())
+        x_lo = np.ldexp(fa / b_sum, ea - b_top)
+        x_hi = np.ldexp(fb / a_sum, eb - a_top)
     return np.stack([x_lo, x_lo, x_hi, x_hi], axis=1)
 
 

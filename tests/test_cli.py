@@ -267,16 +267,21 @@ def test_tiny_cost_column_is_normalized(tmp_path, capsysbinary):
     (0, [1e300, 1e-300, 1, 1, 1]),
     (0, [1e-310, 3610, 1, 1, 1.7e308]),
     (3, [[4830, 4910], [1e-300, 1e300], [4600, 4720], [4660, 4770], [4770, 4850]]),
-], ids=["subnormal", "1e300-and-1e-300", "1e-310-to-1.7e308", "wide-interval"])
-def test_cost_column_at_the_float_edges_is_exact(tmp_path, capsysbinary, j, column):
+    (1, [0, 1e-310, 1e-310, 1e-310, 1e-310]),
+    (2, [[0, 1e-310], [0, 0], [5e-324, 1e-310], [1e-310, 2e-310], [0, 5e-324]]),
+], ids=["subnormal", "1e300-and-1e-300", "1e-310-to-1.7e308", "wide-interval",
+        "benefit-zero-and-subnormals", "benefit-interval-zeros"])
+def test_interval_column_at_the_float_edges_is_exact(tmp_path, capsysbinary, j, column):
     # every exact normalized value fits in a double; each normal one must match
     # the exact rule, even where a reciprocal of a bound alone would overflow
+    # or a column's zeros sit next to subnormal values
     data = fighter_document()
     for row, cell in zip(data["matrix"], column):
         row[j] = {"interval": cell} if isinstance(cell, list) else cell
     lo, hi = np.array(column, dtype=float).reshape(5, -1)[:, [0, -1]].T  # a real is [v, v]
     got = np.array(solve_json(capsysbinary, tmp_path, data)["normalized"])[:, j]
-    for (x_lo, x_hi), g in zip(exact_interval_rule(lo, hi, "cost"), got):
+    direction = data["attributes"][j]["direction"]
+    for (x_lo, x_hi), g in zip(exact_interval_rule(lo, hi, direction), got):
         for want, value in zip((x_lo, x_lo, x_hi, x_hi), g):
             if 2.0**-1022 <= want <= sys.float_info.max:
                 assert abs(Fraction(value) - want) <= want * 1e-12

@@ -1,12 +1,15 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greyrank import AttributeSpec, DegenerateProblemError, ValidationError
 from greyrank.normalize import DIRECTIONS, KINDS, normalize_matrix
 
-from oracles import loop_normalize_matrix
+from oracles import exact_interval_rule, loop_normalize_matrix
 
 BEN = AttributeSpec("B", "interval", "benefit")
 COST = AttributeSpec("C", "interval", "cost")
@@ -234,3 +237,41 @@ def test_one_pass_matches_the_column_loop(problem):
     else:
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
         assert got.flags.c_contiguous
+
+
+# Bounds the interval rule takes, at the float edges: zero (benefit only),
+# subnormal, tiny, ordinary and huge magnitudes.
+_EDGE_POOL = [0.0, 5e-324, 1e-310, 1e-300, 0.5, 1.0, 3.0, 1e300, 1.7e308]
+
+
+@st.composite
+def edge_columns(draw):
+    direction = draw(st.sampled_from(DIRECTIONS))
+    pool = _EDGE_POOL[1:] if direction == "cost" else _EDGE_POOL
+    n = draw(st.integers(min_value=1, max_value=5))
+    values = draw(st.lists(st.sampled_from(pool), min_size=2 * n, max_size=2 * n))
+    return np.sort(np.reshape(values, (n, 2)), axis=1), direction
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_columns())
+@example((np.array([[0.0, 0.0]] + [[1e-310, 1e-310]] * 4), "benefit"))
+def test_interval_rule_matches_exact_arithmetic(problem):
+    # The one pass and the column loop scale the same way, so their comparison
+    # cannot check the scaling; Fraction arithmetic needs none. Every value that
+    # fits in a double must match, and one that does not is located.
+    bounds, direction = problem
+    spec = AttributeSpec("P", "interval", direction)
+    lo, hi = bounds.T
+    if direction == "benefit" and not lo.any():
+        with pytest.raises(DegenerateProblemError):
+            column(bounds, spec)
+        return
+    exact = [v for pair in exact_interval_rule(lo, hi, direction) for v in pair]
+    if max(exact) > sys.float_info.max:
+        with pytest.raises(ValidationError, match="is not finite"):
+            column(bounds, spec)
+        return
+    got = column(bounds, spec)[:, [0, 3]].ravel().tolist()
+    for want, value in zip(exact, got):
+        assert abs(Fraction(value) - want) <= want / 10**12 + Fraction(2) ** -1074
