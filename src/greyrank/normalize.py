@@ -22,7 +22,9 @@ All columns go through one pass of array operations, one rule each, with no
 loop over columns. When several columns are bad, the error names the first
 of them in column order, with the first check that column fails: a value the
 rule cannot take (exit 2), a zero column sum (exit 3), or a result that is
-not finite (exit 2).
+not finite. From finite bounds that is an upper bound past the largest float
+(exit 3): lower bounds are at most 1, and the term rule's values are bounded.
+Bounds that are not finite, which parsing never gives, exit 2.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndar
     rule and for linguistic columns the components are already ordered and
     the sort only guards against floating-point inversions; uncertain columns
     can produce genuine inversions (a degenerate range next to wide ones),
-    which the sort repairs as well. A non-finite result is reported with its
-    attribute and row.
+    which the sort repairs as well. An upper bound too large for a float is
+    degenerate, and is reported with its attribute and row.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[1:] != (len(specs), 2):
@@ -145,6 +147,10 @@ def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndar
         what = f"{spec.kind} column midpoints sum" if terms[j] else "benefit column sums"
         raise DegenerateProblemError(f"attribute {spec.id!r}: {what} to zero")
     i = int(np.argmin(np.isfinite(x[:, j]).all(axis=1)))
+    if np.isfinite(raw[:, j]).all():  # finite bounds can overflow only an upper bound
+        raise DegenerateProblemError(
+            f"attribute {spec.id!r}, row {i}: normalized upper bound exceeds the largest float"
+        )
     raise ValidationError(
         f"attribute {spec.id!r}, row {i}: normalized value {x[i, j].tolist()} is not finite"
     )

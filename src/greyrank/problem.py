@@ -20,10 +20,15 @@ Problem files are JSON documents with ``"schema": 1``:
   canonical 11-term scale.
 * ``name``, ``notes`` — optional free text; either must be a string.
 
+Plan names, attribute ids, alias keys and targets, ``name`` and ``notes`` are
+written into every report, which is UTF-8, so none may hold a lone surrogate
+(a JSON escape such as ``"\\ud800"`` can spell one).
+
 Every violation is reported with the plan/attribute location that caused it.
 The matrix is validated a column at a time, in one pass per check over the
-column or, where that fails, cell by cell. It is stored as one float array of
-bounds, :attr:`DecisionProblem.raw`, of shape (n, m, 2): ``(lo, hi)`` for
+column or, where that fails, cell by cell; the preferences and expert
+vectors are checked the same way. The matrix is stored as one float array
+of bounds, :attr:`DecisionProblem.raw`, of shape (n, m, 2): ``(lo, hi)`` for
 real and interval cells (a real ``v`` is ``(v, v)``), and ``(lower, upper)``
 term indices in -5..5 for linguistic and uncertain cells (a term ``k`` is
 ``(k, k)``). The column kinds in :attr:`DecisionProblem.attributes` say which
@@ -100,6 +105,16 @@ class DecisionProblem:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
+
+
+def _require_utf8(text: str, where: str) -> None:
+    """Reports are UTF-8, which cannot encode a string with a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(
+            f"{where}: {text!r} has a lone surrogate, which UTF-8 cannot encode"
+        ) from None
 
 
 def _as_number(value, where: str) -> float:
@@ -284,7 +299,43 @@ def _parse_aliases(data) -> tuple[dict[str, str], dict[str, int]]:
             isinstance(key, str) and isinstance(value, str),
             f"linguistic_aliases entry {key!r}: both sides must be strings",
         )
+        _require_utf8(key, "linguistic_aliases key")
+        _require_utf8(value, f"linguistic_aliases entry {key!r}: target")
     return {fold_label(key): value for key, value in data.items()}, term_indices(data)
+
+
+def _parse_experts(vectors: list, ids: list[str]) -> np.ndarray:
+    """The (k, m) expert vectors: one pass over all values, or else one vector at a time."""
+    try:
+        _only(vectors, {list})
+        if set(map(len, vectors)) == {len(ids)}:
+            _only(chain.from_iterable(vectors), _NUMBER_TYPES)
+            # raises OverflowError on an integer too large for a float
+            experts = np.array(vectors, dtype=np.float64)
+            if (experts >= 0).all() and np.isfinite(experts).all():
+                return experts
+    except _NOT_BULK:
+        pass
+    return np.array([_parse_expert(vec, i, ids) for i, vec in enumerate(vectors)],
+                    dtype=np.float64)
+
+
+def _parse_expert(vec, i: int, ids: list[str]) -> list[float]:
+    """Expert ``i``'s vector: one finite, nonnegative weight per attribute."""
+    _require(
+        isinstance(vec, list) and len(vec) == len(ids),
+        f"expert vector {i} must list {len(ids)} weights",
+    )
+    row = []
+    for attr_id, value in zip(ids, vec):
+        where = f"expert {i}, attribute {attr_id!r}"
+        w = _as_number(value, where)
+        _require(
+            math.isfinite(w) and w >= 0,
+            f"{where}: weight must be finite and nonnegative, got {w}",
+        )
+        row.append(w)
+    return row
 
 
 def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -298,23 +349,8 @@ def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | No
             isinstance(vectors, list) and len(vectors) >= 1,
             "subjective_weights.experts must be a nonempty list of weight vectors",
         )
-        rows = []
-        for i, vec in enumerate(vectors):
-            _require(
-                isinstance(vec, list) and len(vec) == m,
-                f"expert vector {i} must list {m} weights",
-            )
-            row = []
-            for attr_id, value in zip(ids, vec):
-                where = f"expert {i}, attribute {attr_id!r}"
-                w = _as_number(value, where)
-                _require(
-                    math.isfinite(w) and w >= 0,
-                    f"{where}: weight must be finite and nonnegative, got {w}",
-                )
-                row.append(w)
-            rows.append(row)
-        return subjective_interval_weights(rows), np.array(rows, dtype=np.float64)
+        experts = _parse_experts(vectors, ids)
+        return subjective_interval_weights(experts), experts
     if keys == {"intervals"}:
         intervals = data["intervals"]
         _require(
@@ -385,6 +421,8 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         "plans must be a nonempty list of names",
     )
     _require(len(set(plans)) == len(plans), "plan names must be unique")
+    for i, plan in enumerate(plans):
+        _require_utf8(plan, f"plan {i}")
 
     raw_attrs = data.get("attributes")
     _require(
@@ -402,6 +440,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         _require(
             isinstance(entry["id"], str), f"attribute {j}: id must be a string, got {entry['id']!r}"
         )
+        _require_utf8(entry["id"], f"attribute {j}: id")
         attributes.append(AttributeSpec(entry["id"], entry["kind"], entry["direction"]))
     ids = [a.id for a in attributes]
     _require(len(set(ids)) == len(ids), "attribute ids must be unique")
@@ -439,6 +478,9 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     _require(isinstance(name, str), "name must be a string")
     notes = data.get("notes")
     _require("notes" not in data or isinstance(notes, str), "notes must be a string")
+    _require_utf8(name, "name")
+    if notes is not None:
+        _require_utf8(notes, "notes")
 
     return DecisionProblem(
         name=name,
@@ -461,6 +503,8 @@ def _load_document(path: Path):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read problem file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

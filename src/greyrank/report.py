@@ -8,17 +8,18 @@ Text and CSV share one table model. Floats are formatted a whole array at a
 time by ``_fmt`` (six decimals), and the per-plan columns once per render by
 ``_plan_columns``. Text lays the plan tables out with ``_plan_table``; CSV
 writes every section, header, rows and blank line, through one ``section``.
+orjson writes the json-report from the report's arrays, each float in the
+shortest form that reads back to the same value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateProblemError, ValidationError
 from .pipeline import Report
 from .problem import DecisionProblem
 from .values import term_indices
@@ -204,8 +205,20 @@ def _matrix_rows(problem: DecisionProblem) -> list:
     return list(zip(*(column[a.kind](col) for a, col in zip(problem.attributes, cols))))
 
 
-def render_json(report: Report) -> str:
+def render_json(report: Report) -> bytes:
+    """The json-report: one line of UTF-8 JSON, keys sorted, a newline at the end."""
+    import orjson  # loaded here, so that importing the CLI or a text or CSV solve never does
+
     problem = report.problem
+    # orjson writes NaN and inf as null. Every other float array is finite by
+    # an upstream check; the weighted matrix, and the ideals taken from it,
+    # are finite only because scoring them succeeded, so they are checked here.
+    if not np.isfinite(report.weighted).all():
+        i, j = np.argwhere(~np.isfinite(report.weighted))[0, :2]
+        raise DegenerateProblemError(
+            f"plan {problem.plans[i]!r}, attribute {problem.attributes[j].id!r}: "
+            f"weighted value {report.weighted[i, j].tolist()} is not finite"
+        )
     doc = {
         "schema": 1,
         "name": problem.name,
@@ -223,33 +236,33 @@ def render_json(report: Report) -> str:
         "linguistic_aliases": problem.aliases,
         "subjective_source": problem.subjective_source,
         "notes": report.notes,
-        "normalized": report.normalized.tolist(),
+        "normalized": report.normalized,
         "weights": {
-            "alpha": problem.subjective.tolist(),
-            "beta_opt": report.weights.beta_opt.tolist(),
-            "beta_ent": report.weights.beta_ent.tolist(),
-            "beta_interval": report.weights.beta_interval.tolist(),
-            "final": report.weights.w_final.tolist(),
+            "alpha": problem.subjective,
+            "beta_opt": report.weights.beta_opt,
+            "beta_ent": report.weights.beta_ent,
+            "beta_interval": report.weights.beta_interval,
+            "final": report.weights.w_final,
         },
-        "weighted": report.weighted.tolist(),
+        "weighted": report.weighted,
         "ideal_vectors": {
-            "positive": report.ideals.positive.tolist(),
-            "negative": report.ideals.negative.tolist(),
+            "positive": report.ideals.positive,
+            "negative": report.ideals.negative,
         },
         "incidence": {
-            "gplus": report.incidence["gplus"].tolist(),
-            "gminus": report.incidence["gminus"].tolist(),
+            "gplus": report.incidence["gplus"],
+            "gminus": report.incidence["gminus"],
             "beta1": float(report.incidence["beta1"]),
             "beta2": float(report.incidence["beta2"]),
         },
         "methods": [
-            {"method": ms.method, "scores": ms.scores.tolist(), "ranks": ms.ranks.tolist()}
+            {"method": ms.method, "scores": ms.scores, "ranks": ms.ranks}
             for ms in report.methods
         ],
         "borda": {
-            "scores": report.result.borda_scores.tolist(),
-            "tiebreak": report.result.tiebreak_scores.tolist(),
-            "final_ranks": report.result.final_ranks.tolist(),
+            "scores": report.result.borda_scores,
+            "tiebreak": report.result.tiebreak_scores,
+            "final_ranks": report.result.final_ranks,
         },
         "final_ranking": report.final_order,
     }
@@ -257,24 +270,26 @@ def render_json(report: Report) -> str:
     echo = {key: doc[key] for key in
             ("schema", "name", "plans", "attributes", "params", "linguistic_aliases")}
     given = problem.subjective if problem.experts is None else problem.experts
-    echo["subjective_weights"] = {problem.subjective_source: given.tolist()}
+    echo["subjective_weights"] = {problem.subjective_source: given}
     echo["matrix"] = _matrix_rows(problem)
-    echo["preferences"] = problem.preferences.tolist()
+    echo["preferences"] = problem.preferences
     if problem.notes is not None:
         echo["notes"] = problem.notes
     doc["problem"] = echo
-    # one line: with no indent, json.dumps runs CPython's C encoder
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    # Arrays are written straight from their buffers; one that is not
+    # C-contiguous goes through default, as a list.
+    options = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    return orjson.dumps(doc, default=np.ndarray.tolist, option=options)
 
 
 def emit_report(report: Report, fmt: str = "text") -> bytes:
     """Render ``report`` in the requested format and return UTF-8 bytes."""
+    if fmt == "json-report":
+        return render_json(report)
     if fmt == "text":
         text = render_text(report)
     elif fmt == "csv":
         text = render_csv(report)
-    elif fmt == "json-report":
-        text = render_json(report)
     else:
         raise ValidationError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
     return text.encode("utf-8")

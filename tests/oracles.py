@@ -7,9 +7,10 @@ one-pass ``normalize_matrix`` replaced; it shares the term triangles and the
 interval rule's mantissa-and-exponent scaling, so it checks the one pass's
 vectorization and error order, not that scaling. ``exact_interval_rule``, the
 interval rule in ``Fraction`` arithmetic, checks the scaling.
-``loop_matrix_bounds`` and ``loop_preferences`` are the cell-by-cell parse
-that the column-at-a-time parse replaced; they share the per-cell and
-per-entry validators, which the parse keeps as its error locators.
+``loop_matrix_bounds``, ``loop_preferences`` and ``loop_experts`` are the
+cell-by-cell parse that the one-pass parse replaced; they share the per-cell,
+per-entry and per-vector validators, which the parse keeps as its error
+locators.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from greyrank.errors import DegenerateProblemError, ValidationError
 from greyrank.normalize import _TRIANGLES, AttributeSpec
-from greyrank.problem import _parse_cell, _parse_preference
+from greyrank.problem import _parse_cell, _parse_expert, _parse_preference
 from greyrank.values import term_indices
 
 
@@ -237,8 +238,8 @@ def loop_normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np
     interval rule and for linguistic columns the components are already
     ordered and the sort only guards against floating-point inversions;
     uncertain columns can produce genuine inversions (a degenerate range next
-    to wide ones), which the sort repairs as well. A non-finite result is
-    reported with its attribute and row.
+    to wide ones), which the sort repairs as well. An upper bound too large
+    for a float is degenerate, and is reported with its attribute and row.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[1:] != (len(specs), 2):
@@ -259,6 +260,11 @@ def loop_normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np
         col = np.sort(col, axis=1)
         if not np.isfinite(col).all():
             bad = int(np.argmin(np.isfinite(col).all(axis=1)))
+            if np.isfinite(raw[:, j]).all():
+                raise DegenerateProblemError(
+                    f"attribute {spec.id!r}, row {bad}: normalized upper bound exceeds "
+                    "the largest float"
+                )
             raise ValidationError(
                 f"attribute {spec.id!r}, row {bad}: normalized value "
                 f"{col[bad].tolist()} is not finite"
@@ -289,3 +295,9 @@ def loop_preferences(entries: list, plans: list[str]) -> np.ndarray:
          for i, entry in enumerate(entries)],
         dtype=np.float64,
     )
+
+
+def loop_experts(vectors: list, ids: list[str]) -> np.ndarray:
+    """The (k, m) expert vectors, one vector at a time."""
+    return np.array([_parse_expert(vec, i, ids) for i, vec in enumerate(vectors)],
+                    dtype=np.float64)

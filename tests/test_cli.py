@@ -216,15 +216,80 @@ def test_degenerate_problem_exits_3(tmp_path, capsysbinary):
 
 def test_non_finite_normalized_value_is_located(tmp_path, capsysbinary):
     # the exact upper bound of a cost interval [5e-324, 1.7e308] next to ordinary
-    # ones exceeds the largest float; the located error is the only line on stderr
+    # ones exceeds the largest float: valid input, so degenerate (exit 3), and
+    # the located error is the only line on stderr
     data = fighter_document()
     data["matrix"][2][3] = {"interval": [5e-324, 1.7e308]}
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 3 and out == b""
+    assert err == (b"greyrank: degenerate problem: stage normalize: attribute 'A4', row 2: "
+                   b"normalized upper bound exceeds the largest float\n")
+
+
+def _with_surrogate(field: str) -> dict:
+    """Fighter with a lone surrogate in one string field; json.dumps writes it
+    as the JSON escape \\ud800, which json.loads reads back."""
+    data = fighter_document()
+    if field == "plan":
+        data["plans"][0] = "G\ud800"
+    elif field == "attribute id":
+        data["attributes"][0]["id"] = "A\ud800"
+    elif field in ("name", "notes"):
+        data[field] = "fighter \ud800"
+    elif field == "alias key":
+        data["linguistic_aliases"]["meh\ud800"] = "medium"
+    else:
+        data["linguistic_aliases"]["meh"] = "medium\ud800"
+    return data
+
+
+SURROGATE_ERRORS = {
+    "plan": r"plan 0: 'G\ud800'",
+    "attribute id": r"attribute 0: id: 'A\ud800'",
+    "name": r"name: 'fighter \ud800'",
+    "notes": r"notes: 'fighter \ud800'",
+    "alias key": r"linguistic_aliases key: 'meh\ud800'",
+    "alias target": r"linguistic_aliases entry 'meh': target: 'medium\ud800'",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json-report"])
+@pytest.mark.parametrize("field", list(SURROGATE_ERRORS))
+def test_lone_surrogate_is_located(tmp_path, capsysbinary, field, fmt):
+    # no report format can write a lone surrogate as UTF-8: parse rejects it
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(_with_surrogate(field)), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path, "--format", fmt)
     assert rc == 2 and out == b""
-    assert err.startswith(b"greyrank: error: stage normalize: attribute 'A4', row 2:")
-    assert err.endswith(b"is not finite\n") and err.count(b"\n") == 1
+    assert err == (f"greyrank: error: {SURROGATE_ERRORS[field]} has a lone surrogate, "
+                   "which UTF-8 cannot encode\n").encode()
+
+
+def test_file_that_is_not_utf8_is_located(tmp_path, capsysbinary):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(fighter_document()).replace("G1", "G\xe9").encode("latin-1"))
+    rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 2 and out == b""
+    assert err.startswith(f"greyrank: error: {path}: not UTF-8 text: ".encode())
+    assert err.count(b"\n") == 1
+
+
+def test_non_ascii_json_report_round_trips(tmp_path, capsysbinary):
+    # a json-report writes text as UTF-8, not as \\u escapes, and reads back
+    data = fighter_document()
+    data["plans"][0] = "G\u00e9\u2028\u98de"
+    data["name"] = "\u6218\u6597\u673a"
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, first, _ = run(capsysbinary, "solve", path, "--format", "json-report")
+    assert rc == 0
+    assert "G\u00e9\u2028\u98de".encode() in first and b"\\u" not in first
+    report_file = tmp_path / "report.json"
+    report_file.write_bytes(first)
+    rc, second, _ = run(capsysbinary, "solve", report_file, "--format", "json-report")
+    assert rc == 0 and second == first
 
 
 def solve_json(capsysbinary, tmp_path, data):

@@ -19,7 +19,7 @@ from greyrank import (
 from greyrank.normalize import AttributeSpec
 from greyrank.values import DEFAULT_ALIASES, canonical_labels
 
-from oracles import loop_matrix_bounds, loop_preferences
+from oracles import loop_experts, loop_matrix_bounds, loop_preferences
 
 MINIMAL = {
     "schema": 1,
@@ -482,3 +482,26 @@ def test_bulk_preferences_match_the_per_entry_loop(preferences):
     data = column_document(["real"], [[1.0]] * n, preferences=preferences)
     expected = outcome(loop_preferences, preferences, data["plans"])
     assert_same_outcome(outcome(lambda: parse_problem_dict(data).preferences), expected)
+
+
+weights = st.one_of(
+    st.floats(0, 2), st.integers(0, 3), st.sampled_from([-0.0, -0.5, float("nan"), 10**400]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.lists(weights, min_size=2, max_size=2),
+                          st.lists(st.one_of(weights, junk), min_size=1, max_size=3),
+                          junk), min_size=1, max_size=3))
+@example([[0.5, 0.5], [0.5, 0.5, 0.5]])
+@example([[0.5, 0.5], (0.5, 0.5)])
+@example([[-0.0, 0.0], [0.5, -0.5]])
+@example([[0.5, float("inf")]])
+@example([[2**53 + 1, 2.0**53], [2**63 + 1, 2**1024 - 2**970]])
+@example([[0.5, True]])
+@example([[0.5, "0.5"]])
+@example([0.5])
+def test_bulk_experts_match_the_per_vector_loop(vectors):
+    ids = ["A1", "A2"]
+    expected = outcome(loop_experts, vectors, ids)
+    assert_same_outcome(outcome(greyrank.problem._parse_experts, vectors, ids), expected)

@@ -1,10 +1,13 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from greyrank import (
+    DegenerateProblemError,
     ValidationError,
     emit_report,
     fighter_problem_path,
@@ -95,6 +98,60 @@ def test_fighter_json_report_is_one_compact_line():
     out = emit_report(run_pipeline(load_fighter_problem()), "json-report").decode()
     assert out == json.dumps(json.loads(out), separators=(",", ":"), sort_keys=True) + "\n"
     assert out.count("\n") == 1
+
+
+def test_json_report_floats_read_back_exactly():
+    # Fighter tiled 30 times is past the one-block threshold (m * n^2 > 2^16).
+    # With zero lower preferences its weighted values reach below 1e-4, where
+    # orjson spells a float (0.0000118) unlike repr (1.18e-05). Every float
+    # must read back exactly.
+    doc = json.loads(fighter_problem_path().read_text())
+    doc["plans"] = [f"{p}-{t}" for t in range(30) for p in doc["plans"]]
+    doc["matrix"] *= 30
+    doc["preferences"] = [[0.0, 0.0, *q[2:]] for q in doc["preferences"]] * 30
+    report = run_pipeline(parse_problem_dict(doc))
+    assert ((0 < report.weighted) & (report.weighted < 1e-4)).any()
+    out = json.loads(emit_report(report, "json-report"))
+    w = report.weights
+    arrays = {
+        ("normalized",): report.normalized, ("weighted",): report.weighted,
+        ("weights", "alpha"): report.problem.subjective, ("weights", "beta_opt"): w.beta_opt,
+        ("weights", "beta_ent"): w.beta_ent, ("weights", "beta_interval"): w.beta_interval,
+        ("weights", "final"): w.w_final, ("ideal_vectors", "positive"): report.ideals.positive,
+        ("ideal_vectors", "negative"): report.ideals.negative,
+        ("incidence", "gplus"): report.incidence["gplus"],
+        ("incidence", "gminus"): report.incidence["gminus"],
+        ("borda", "scores"): report.result.borda_scores,
+        ("borda", "tiebreak"): report.result.tiebreak_scores,
+        ("borda", "final_ranks"): report.result.final_ranks,
+        ("problem", "preferences"): report.problem.preferences,
+    }
+    for keys, values in arrays.items():
+        got = out
+        for key in keys:
+            got = got[key]
+        assert got == values.tolist(), keys
+    for got, ms in zip(out["methods"], report.methods):
+        assert got["scores"] == ms.scores.tolist() and got["ranks"] == ms.ranks.tolist()
+    assert [out["incidence"]["beta1"], out["incidence"]["beta2"]] == [
+        report.incidence["beta1"], report.incidence["beta2"]]
+
+
+def test_json_report_refuses_a_non_finite_weighted_value(toy_report):
+    # orjson would write it as null; the report names the cell instead
+    weighted = toy_report.weighted.copy()
+    weighted[1, 2, 3] = np.inf
+    with pytest.raises(DegenerateProblemError,
+                       match=r"plan 'P2', attribute 'A3': weighted value \[.*inf\] is not"):
+        render_json(dataclasses.replace(toy_report, weighted=weighted))
+
+
+def test_json_report_writes_arrays_that_are_not_c_contiguous(toy_report):
+    # DecisionProblem is public, so its arrays may be views in any layout
+    problem = toy_report.problem
+    fortran = dataclasses.replace(problem, subjective=np.asfortranarray(problem.subjective))
+    assert not fortran.subjective.flags.c_contiguous
+    assert render_json(dataclasses.replace(toy_report, problem=fortran)) == render_json(toy_report)
 
 
 def _fighter_x3():

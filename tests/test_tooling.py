@@ -5,8 +5,12 @@ renames one would break ``python3 perfbench/run.py --trace 1``. The file is
 read and executed here without writing anything next to it.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import greyrank
 from greyrank import cli, fighter_problem_path, parse_problem
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -54,3 +58,21 @@ def test_perfbench_problem_counts_read_a_parsed_problem():
         "n_plans": 5, "n_attributes": 9, "cells.real": 10, "cells.interval": 15,
         "cells.linguistic": 10, "cells.uncertain": 10,
     }
+
+
+def test_text_and_csv_solves_never_load_orjson(tmp_path):
+    # only render_json imports orjson, so importing the CLI and solving to
+    # text or CSV cost no more than before it was a dependency
+    script = (
+        "import sys\n"
+        "import greyrank.cli as cli\n"
+        "assert 'orjson' not in sys.modules\n"
+        f"for fmt in ('text', 'csv'):\n"
+        f"    assert cli.main(['solve', {str(fighter_problem_path())!r}, '--format', fmt,\n"
+        f"                     '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+        "assert 'orjson' not in sys.modules\n"
+    )
+    src = str(Path(greyrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
