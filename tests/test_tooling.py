@@ -67,7 +67,7 @@ def test_text_and_csv_solves_never_load_orjson(tmp_path):
         "import sys\n"
         "import greyrank.cli as cli\n"
         "assert 'orjson' not in sys.modules\n"
-        f"for fmt in ('text', 'csv'):\n"
+        "for fmt in ('text', 'csv'):\n"
         f"    assert cli.main(['solve', {str(fighter_problem_path())!r}, '--format', fmt,\n"
         f"                     '--out', {str(tmp_path / 'r')!r}]) == 0\n"
         "assert 'orjson' not in sys.modules\n"
