@@ -198,6 +198,14 @@ def _only(values, types: set) -> None:
         raise TypeError("not a bulk column")
 
 
+def _finite_numbers(values) -> None:
+    """Raise one of ``_NOT_BULK`` unless every value is an int or float, finite as a float."""
+    _only(values, _NUMBER_TYPES)
+    # math.isfinite raises OverflowError on an integer too large for a float
+    if not all(map(math.isfinite, values)):
+        raise ValueError("not a bulk column")
+
+
 def _bulk_column(cells: tuple, kind: str, terms: dict[str, int]) -> list:
     """One column's k lower bounds, then its k upper bounds.
 
@@ -207,28 +215,24 @@ def _bulk_column(cells: tuple, kind: str, terms: dict[str, int]) -> list:
     bounds. Anything else raises one of ``_NOT_BULK``.
     """
     if kind == "real":
-        _only(cells, _NUMBER_TYPES)
-        lo = hi = list(cells)
+        _finite_numbers(cells)
+        return list(cells) * 2
+    _only(cells, {dict})
+    if set(map(len, cells)) != {1}:
+        raise ValueError("not a bulk column")
+    inner = list(map(itemgetter(_CELL_KEY[kind]), cells))
+    if kind == "linguistic":  # term indices: finite, and a term is its own pair
+        return list(map(terms.__getitem__, inner)) * 2
+    _only(inner, {list})
+    if set(map(len, inner)) != {2}:
+        raise ValueError("not a bulk column")
+    flat = list(chain.from_iterable(inner))
+    if kind == "interval":
+        _finite_numbers(flat)
     else:
-        _only(cells, {dict})
-        if set(map(len, cells)) != {1}:
-            raise ValueError("not a bulk column")
-        inner = list(map(itemgetter(_CELL_KEY[kind]), cells))
-        if kind == "linguistic":
-            lo = hi = list(map(terms.__getitem__, inner))
-        else:
-            _only(inner, {list})
-            if set(map(len, inner)) != {2}:
-                raise ValueError("not a bulk column")
-            flat = list(chain.from_iterable(inner))
-            if kind == "interval":
-                _only(flat, _NUMBER_TYPES)
-            else:
-                flat = list(map(terms.__getitem__, flat))
-            lo, hi = flat[0::2], flat[1::2]
-    # math.isfinite raises OverflowError on an integer too large for a float
-    finite = all(map(math.isfinite, lo)) and all(map(math.isfinite, hi))
-    if not (finite and all(map(le, lo, hi))):
+        flat = list(map(terms.__getitem__, flat))
+    lo, hi = flat[0::2], flat[1::2]
+    if not all(map(le, lo, hi)):
         raise ValueError("not a bulk column")
     return lo + hi
 

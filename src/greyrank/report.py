@@ -9,7 +9,10 @@ time by ``_fmt`` (six decimals), and the per-plan columns once per render by
 ``_plan_columns``. Text lays the plan tables out with ``_plan_table``; CSV
 writes every section, header, rows and blank line, through one ``section``.
 orjson writes the json-report from the report's arrays, each float in the
-shortest form that reads back to the same value.
+shortest form that reads back to the same value. In its problem echo, every
+cell of one term, or of one pair of terms, is one shared dict;
+``_matrix_rows`` fills all the columns of a cell kind at once, by one index
+or one assignment, into one object array of cells that it lists once.
 """
 
 from __future__ import annotations
@@ -193,16 +196,34 @@ def render_csv(report: Report) -> str:
 
 
 def _matrix_rows(problem: DecisionProblem) -> list:
-    """Matrix cells from ``raw``; a term as the first label, canonical first, that parses to it."""
+    """Matrix cells from ``raw``; a term as the first label, canonical first, that parses to it.
+
+    Every cell of one term, or of one pair of terms, is the same dict, looked
+    up by term index offset from -5..5 to 0..10. An alias can leave an index
+    with no spelling at all (``{"high": "low"}``); its label is ``None``, and
+    no cell holds that index.
+    """
     name = {k: s for s, k in reversed(term_indices(problem.aliases).items())}
-    column = {  # term indices are floats; they hash like the int keys of name
-        "real": lambda col: [lo for lo, _ in col],
-        "interval": lambda col: [{"interval": pair} for pair in col],
-        "linguistic": lambda col: [{"ling": name[lo]} for lo, _ in col],
-        "uncertain-linguistic": lambda col: [{"uncertain": [name[lo], name[hi]]} for lo, hi in col],
-    }
-    cols = problem.raw.transpose(1, 0, 2).tolist()
-    return list(zip(*(column[a.kind](col) for a, col in zip(problem.attributes, cols))))
+    labels = [name.get(k) for k in range(-5, 6)]
+    ling = np.array([{"ling": a} for a in labels], dtype=object)
+    uncertain = np.array([[{"uncertain": [a, b]} for b in labels] for a in labels], dtype=object)
+
+    raw = problem.raw
+    columns: dict[str, list[int]] = {}
+    for j, attr in enumerate(problem.attributes):
+        columns.setdefault(attr.kind, []).append(j)
+    cells = np.empty(raw.shape[:2], dtype=object)
+    if js := columns.get("real"):
+        cells[:, js] = raw[:, js, 0]  # as Python floats
+    if js := columns.get("interval"):
+        pairs = raw[:, js].tolist()
+        cells[:, js] = np.array([[{"interval": p} for p in row] for row in pairs], dtype=object)
+    if js := columns.get("linguistic"):
+        cells[:, js] = ling[raw[:, js, 0].astype(np.intp) + 5]
+    if js := columns.get("uncertain-linguistic"):
+        term = raw[:, js].astype(np.intp) + 5
+        cells[:, js] = uncertain[term[..., 0], term[..., 1]]
+    return cells.tolist()
 
 
 def render_json(report: Report) -> bytes:

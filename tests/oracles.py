@@ -10,7 +10,9 @@ interval rule in ``Fraction`` arithmetic, checks the scaling.
 ``loop_matrix_bounds``, ``loop_preferences`` and ``loop_experts`` are the
 cell-by-cell parse that the one-pass parse replaced; they share the per-cell,
 per-entry and per-vector validators, which the parse keeps as its error
-locators.
+locators. ``loop_matrix_rows`` is the json-report's matrix echo built one
+column and one cell at a time, as before its cells were shared and gathered
+a kind at a time; it shares the label table.
 """
 
 from __future__ import annotations
@@ -286,6 +288,20 @@ def loop_matrix_bounds(
             where = f"plan {plans[i]!r}, attribute {specs[j].id!r}"
             bounds.extend(_parse_cell(cell, specs[j].kind, terms, where))
     return np.array(bounds, dtype=np.float64).reshape(len(matrix), m, 2)
+
+
+def loop_matrix_rows(problem) -> list:
+    """The echo of ``problem.raw``, a new list or dict per cell; a term as the
+    first label, canonical first, that parses to it."""
+    name = {k: s for s, k in reversed(term_indices(problem.aliases).items())}
+    column = {  # term indices are floats; they hash like the int keys of name
+        "real": lambda col: [lo for lo, _ in col],
+        "interval": lambda col: [{"interval": pair} for pair in col],
+        "linguistic": lambda col: [{"ling": name[lo]} for lo, _ in col],
+        "uncertain-linguistic": lambda col: [{"uncertain": [name[lo], name[hi]]} for lo, hi in col],
+    }
+    cols = problem.raw.transpose(1, 0, 2).tolist()
+    return list(zip(*(column[a.kind](col) for a, col in zip(problem.attributes, cols))))
 
 
 def loop_preferences(entries: list, plans: list[str]) -> np.ndarray:

@@ -435,6 +435,17 @@ def test_huge_preference_does_not_overflow_weighting(tmp_path, capsysbinary):
     assert np.isfinite(report["weighted"]).all()
 
 
+def test_huge_preference_and_upper_bound_blend_without_overflow(tmp_path, capsysbinary):
+    # A4's row-2 upper bound normalizes to about 1.2e307, and G3's preference
+    # is near the largest float; their sum overflows, their mean does not
+    data = fighter_document()
+    data["matrix"][2][3] = {"interval": [1e-304, 1e300]}
+    data["preferences"][2] = [0.1, 0.2, 1.79e308, 1.79e308]
+    report = solve_json(capsysbinary, tmp_path, data)
+    assert report["final_ranking"] == ["G3", "G1", "G2", "G4", "G5"]
+    assert np.isfinite(report["weighted"]).all()
+
+
 def test_overflowing_final_weight_names_the_attribute(tmp_path, capsysbinary):
     # the upper final weight of A9 is about 2.7 times the largest float
     data = fighter_document()

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greyrank import DegenerateProblemError, MethodParams, ValidationError
@@ -59,6 +61,32 @@ def test_blend_preference_hand_case():
         blend_preference(x, np.array([[0.4, 0.2, 0.4, 0.6]]))
     with pytest.raises(ValidationError):
         blend_preference(x, np.array([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4]]))
+
+
+blend_values = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.5e-323, 1e-310, 2.0**-1022, 2.0**-1021, 3e-308,
+                     0.5, 1e300, 8.9e307, 1.79e308]),
+    st.integers(0, 2**60).map(lambda k: k * 5e-324),  # subnormals and small normals
+    st.floats(0, 1.7976931348623157e308),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(blend_values, min_size=4, max_size=4),
+       st.lists(blend_values, min_size=4, max_size=4))
+@example([1.79e308] * 4, [1.2e307] * 4)
+@example([5e-324] * 4, [5e-324] * 4)  # 0.0, not the exact 5e-324
+def test_blend_preference_against_exact_arithmetic(q, x):
+    # The correctly rounded mean, without overflow near the largest float.
+    # Where q or x is below 2**-1021, halving it may drop its last bit, and
+    # the blend may then be one unit in the last place off.
+    q = sorted(q)
+    z = blend_preference(np.array(x).reshape(1, 1, 4), np.array([q]))[0, 0].tolist()
+    for a, b, got in zip(q, x, z):
+        want = float((Fraction(a) + Fraction(b)) / 2)
+        if got != want:
+            assert any(0 < v < 2.0**-1021 for v in (a, b)), (a, b)
+            assert abs(got - want) <= np.spacing(want), (a, b)
 
 
 def test_apply_weights_scales_pairs():

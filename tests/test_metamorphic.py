@@ -1,13 +1,15 @@
 """Whole-pipeline relations that follow from the method's symmetries.
 
 Each property solves a problem and a transformed copy of it in process and
-compares the two reports. The problems are the bundled fighter problem and
-a 90-plan tile of it with jittered crisp values, which is past the
-one-block threshold of the deviation kernel (m * n**2 > 2**16).
+compares the two reports; the json-report's problem echo is one such copy.
+The problems are the bundled fighter problem and a 90-plan tile of it with
+jittered crisp values, which is past the one-block threshold of the
+deviation kernel (m * n**2 > 2**16).
 """
 
 import copy
 import functools
+import json
 import math
 import random
 
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greyrank import parse_problem_dict, run_pipeline
+from greyrank.cli import main
 
 from test_problem_io import fighter_document
 
@@ -77,3 +80,30 @@ def test_scaling_a_crisp_column_by_a_power_of_two_changes_nothing(name, data):
     assert np.array_equal(got.normalized, want.normalized)
     for g, w in zip(got.methods, want.methods):
         assert np.array_equal(g.scores, w.scores), g.method
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_linguistic_column_normalizes_like_an_equal_uncertain_pair(name):
+    # a term k is the range [k, k]: both kinds read the same triangle twice
+    doc = copy.deepcopy(BASES[name])
+    for j, attr in enumerate(doc["attributes"]):
+        if attr["kind"] == "linguistic":
+            attr["kind"] = "uncertain-linguistic"
+            for row in doc["matrix"]:
+                row[j] = {"uncertain": [row[j]["ling"]] * 2}
+    want, got = _solved(name), run_pipeline(parse_problem_dict(doc))
+    assert np.array_equal(got.normalized, want.normalized)
+    for g, w in zip(got.methods, want.methods):
+        assert np.array_equal(g.scores, w.scores), g.method
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_json_report_solves_back_to_the_same_bytes(name, tmp_path, capsysbinary):
+    # the report's problem echo, solved again, writes the report again
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(BASES[name]), encoding="utf-8")
+    assert main(["solve", str(path), "--format", "json-report"]) == 0
+    first = capsysbinary.readouterr().out
+    path.write_bytes(first)
+    assert main(["solve", str(path), "--format", "json-report"]) == 0
+    assert capsysbinary.readouterr().out == first

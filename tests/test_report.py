@@ -1,10 +1,14 @@
 import copy
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greyrank import (
     DegenerateProblemError,
@@ -15,9 +19,11 @@ from greyrank import (
     parse_problem_dict,
     run_pipeline,
 )
-from greyrank.report import render_csv, render_json, render_text
+from greyrank.report import _matrix_rows, render_csv, render_json, render_text
+from greyrank.values import term_indices
 
-from test_problem_io import MINIMAL
+from oracles import loop_matrix_rows
+from test_problem_io import KINDS, MINIMAL, column_document
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +158,54 @@ def test_json_report_writes_arrays_that_are_not_c_contiguous(toy_report):
     fortran = dataclasses.replace(problem, subjective=np.asfortranarray(problem.subjective))
     assert not fortran.subjective.flags.c_contiguous
     assert render_json(dataclasses.replace(toy_report, problem=fortran)) == render_json(toy_report)
+
+
+# Problem aliases as a file gives them. The second shadows the canonical
+# "general"; the third leaves index 3 with no spelling at all.
+ECHO_ALIASES = [
+    {},
+    {"General": "high", "middling": "general"},
+    {"high": "low"},
+    {"meh": "ordinary", "Ordinary": "very high"},
+]
+EDGE_REALS = [0.0, -0.0, 5e-324, -1e-310, 1e-5, 3610.0, -2.5, 1e300, -1.7e308]
+
+
+@st.composite
+def echo_problems(draw):
+    """Problems of every cell kind. From 66 plans on, each linguistic column
+    names every term and each uncertain column every ordered pair of terms."""
+    aliases = draw(st.sampled_from(ECHO_ALIASES))
+    n, m = draw(st.sampled_from([(1, 4), (5, 6), (66, 4), (90, 9)]))
+    kinds = draw(st.permutations(KINDS)) + draw(st.lists(st.sampled_from(KINDS),
+                                                         min_size=m - 4, max_size=m - 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    spellings: dict[int, list[str]] = {}
+    for label, k in term_indices(aliases).items():
+        spellings.setdefault(k, []).append(label)
+    indices = sorted(spellings)
+    pairs = [(a, b) for a in indices for b in indices if a <= b]
+    start = rng.randrange(len(pairs))
+
+    def cell(kind: str, i: int):
+        if kind == "real":
+            return rng.choice(EDGE_REALS + [rng.uniform(-1e4, 1e4)])
+        if kind == "interval":
+            return {"interval": sorted(rng.choice(EDGE_REALS) for _ in range(2))}
+        if kind == "linguistic":
+            return {"ling": rng.choice(spellings[indices[(start + i) % len(indices)]])}
+        lo, hi = pairs[(start + i) % len(pairs)]
+        return {"uncertain": [rng.choice(spellings[lo]), rng.choice(spellings[hi])]}
+
+    matrix = [[cell(kind, i) for kind in kinds] for i in range(n)]
+    return parse_problem_dict(column_document(kinds, matrix, aliases))
+
+
+@settings(max_examples=60, deadline=None)
+@given(echo_problems())
+def test_matrix_echo_matches_the_cell_loop(problem):
+    # shared term cells and kind-wide gathers write the bytes a new dict per cell does
+    assert orjson.dumps(_matrix_rows(problem)) == orjson.dumps(loop_matrix_rows(problem))
 
 
 def _fighter_x3():
