@@ -4,10 +4,14 @@ The one module that knows the output formats, the json-report schema included.
 All three renderers are deterministic: the same report always produces the
 same bytes, so outputs can be diffed or checked into golden files.
 
-Text and CSV share one table model. Floats are formatted a whole array at a
-time by ``_fmt`` (six decimals), and the per-plan columns once per render by
-``_plan_columns``. Text lays the plan tables out with ``_plan_table``; CSV
-writes every section, header, rows and blank line, through one ``section``.
+Text and CSV share one row model: ``_rows`` fills one ``%`` template per
+table from the ``.tolist()`` columns of its arrays, so every line of a table
+is one string formatting, six decimals a float (``"%16.6f" % v`` is
+``("%.6f" % v).rjust(16)``). Names and other free text enter a template only
+as its arguments. Text lays the plan tables out with ``_plan_table``; CSV
+writes every section, header, rows and blank line, through one ``section``,
+and quotes each plan name, attribute id and parameter value once, by
+``csv.writer``, in ``_csv_fields``. ``_fmt`` formats the lone values.
 orjson writes the json-report from the report's arrays, each float in the
 shortest form that reads back to the same value. In its problem echo, every
 cell of one term, or of one pair of terms, is one shared dict;
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -37,42 +42,35 @@ def _fmt(values) -> list[str]:
     return ["%.6f" % v for v in np.ravel(values).tolist()]
 
 
-def _fmt_rows(values: np.ndarray) -> list[list[str]]:
-    """Each row of a 2-D array formatted as by ``_fmt``, all of its cells in one call."""
-    cells, n = _fmt(values), values.shape[1]
-    return [cells[k:k + n] for k in range(0, len(cells), n)]
+def _rows(template: str, *columns) -> map:
+    """``template`` filled from each row of ``columns``, read across: one string per row."""
+    return map(template.__mod__, zip(*columns))
 
 
-def _plan_columns(report: Report) -> list[list[str]]:
-    """The per-plan float columns, formatted once: the four method scores,
-    then gplus, gminus, borda and tiebreak."""
-    return _fmt_rows(np.array([ms.scores for ms in report.methods] + [
+def _plan_columns(report: Report) -> list[list[float]]:
+    """The per-plan columns: the four method scores, then gplus, gminus, borda and tiebreak."""
+    return np.array([ms.scores for ms in report.methods] + [
         report.incidence["gplus"], report.incidence["gminus"],
         report.result.borda_scores, report.result.tiebreak_scores,
-    ]))
-
-
-def _keyed_rows(keys: list[tuple], values: np.ndarray) -> list[list[str]]:
-    """One row per key: its fields, then its row of ``values`` reshaped to one row per key."""
-    rows = _fmt_rows(np.reshape(values, (len(keys), -1)))
-    return [[*key, *row] for key, row in zip(keys, rows)]
+    ]).tolist()
 
 
 def _ranking_line(plans: list[str], ranks: np.ndarray) -> str:
     """Render a ranking as ``G2 > G5 = G1 > G3``, ties joined with ``=``."""
-    order = np.argsort(ranks, kind="stable").tolist()  # ties keep plan index order
-    rank = ranks.tolist()
-    parts = [plans[order[0]]]
-    for prev, k in zip(order, order[1:]):
-        parts += ["=" if rank[prev] == rank[k] else ">", plans[k]]
-    return " ".join(parts)
+    order = np.argsort(ranks, kind="stable")  # ties keep plan index order
+    rank = ranks[order]
+    parts = [""] * (2 * len(order) - 1)  # the plans, and a separator between each two
+    parts[0::2] = map(plans.__getitem__, order.tolist())
+    parts[1::2] = map((" > ", " = ").__getitem__, (rank[1:] == rank[:-1]).tolist())
+    return "".join(parts)
 
 
-def _plan_table(plans: list[str], head: list[str], cols: list[list[str]], width: int) -> list[str]:
-    """A header and one line per plan: the plan left in 10, each column right in ``width``."""
-    rows = zip(["plan", *plans], *([h, *col] for h, col in zip(head, cols)))
-    return [f"  {plan:<10}" + "".join([cell.rjust(width) for cell in cells])
-            for plan, *cells in rows]
+def _plan_table(plans: list[str], head: list[str], width: int, cells: list[str],
+                columns: list[list]) -> list[str]:
+    """A header and one line per plan: the plan left in 10, then each column
+    right in ``width``, converted as its entry of ``cells`` says (``".6f"``, ``"d"``)."""
+    header = ("  %-10s" + f"%{width}s" * len(head)) % ("plan", *head)
+    return [header, *_rows("  %-10s" + "".join(f"%{width}{c}" for c in cells), plans, *columns)]
 
 
 def render_text(report: Report) -> str:
@@ -113,22 +111,20 @@ def render_text(report: Report) -> str:
     out("interval weights (subjective x objective):")
     out(f"  {'attribute':<12} {'alpha':>19} {'beta':>19} {'final':>19}")
     weights = report.weights
-    for attr, a, b, w in zip(problem.attributes, problem.subjective.tolist(),
-                             weights.beta_interval.tolist(), weights.w_final.tolist()):
-        out(
-            f"  {attr.id:<12} [{a[0]:.4f}, {a[1]:.4f}]  "
-            f"[{b[0]:.4f}, {b[1]:.4f}]  [{w[0]:.4f}, {w[1]:.4f}]"
-        )
+    lines += _rows("  %-12s [%.4f, %.4f]  [%.4f, %.4f]  [%.4f, %.4f]",
+                   [a.id for a in problem.attributes],
+                   *np.column_stack([problem.subjective, weights.beta_interval,
+                                     weights.w_final]).T.tolist())
     out("")
 
     *scores, gplus, gminus, borda, tiebreak = _plan_columns(report)
     out("method scores (rows are plans):")
-    lines += _plan_table(plans, [ms.method for ms in report.methods], scores, 16)
+    lines += _plan_table(plans, [ms.method for ms in report.methods], 16, [".6f"] * 4, scores)
     out("")
 
     beta1, beta2 = _fmt([report.incidence["beta1"], report.incidence["beta2"]])
     out("incidence degrees against the ideals:")
-    lines += _plan_table(plans, ["positive", "negative"], [gplus, gminus], 16)
+    lines += _plan_table(plans, ["positive", "negative"], 16, [".6f"] * 2, [gplus, gminus])
     out(f"  max-entropy pair weights: beta1 = {beta1}, beta2 = {beta2}")
     out("")
 
@@ -137,62 +133,77 @@ def render_text(report: Report) -> str:
     out("")
 
     out("weighted borda:")
-    final = [str(r) for r in report.result.final_ranks.tolist()]
-    lines += _plan_table(plans, ["borda", "tiebreak", "final rank"], [borda, tiebreak, final], 12)
+    lines += _plan_table(plans, ["borda", "tiebreak", "final rank"], 12, [".6f", ".6f", "d"],
+                         [borda, tiebreak, report.result.final_ranks.tolist()])
     out("")
     out("final ranking: " + " > ".join(report.final_order))
     out("")
     return "\n".join(lines)
 
 
-def render_csv(report: Report) -> str:
+def _csv_fields(values) -> list[str]:
+    """Each value as ``csv.writer`` writes it as one field of a row of several:
+    quoted only where it must be."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    write = csv.writer(buf, lineterminator="\n").writerow
+    ends = list(accumulate(map(write, zip(values, repeat("")))))  # chars written per row
+    text = buf.getvalue()
+    return [text[start:end - 2] for start, end in zip([0, *ends], ends)]  # drop ",\n"
+
+
+def render_csv(report: Report) -> str:
     problem = report.problem
-    plans, attrs = problem.plans, problem.attributes
+    n, m = problem.n_plans, problem.n_attributes
+    plans = _csv_fields(problem.plans)
+    ids = _csv_fields([a.id for a in problem.attributes])
+    parts: list[str] = []
 
-    def section(title: str, head: list[str], rows) -> None:
-        buf.write(f"# {title}\n")
-        writer.writerow(head)
-        writer.writerows(rows)
-        buf.write("\n")
+    def section(title: str, head: str, rows) -> None:
+        parts.append(f"# {title}\n{head}\n")
+        parts.extend(rows)
+        parts.append("\n")
 
-    section("parameters", ["key", "value"], [
-        ["name", problem.name],
-        ["rho", repr(problem.params.rho)],
-        ["theta_plus", repr(problem.params.theta_plus)],
-        ["theta_minus", repr(problem.params.theta_minus)],
-        ["borda_weights", " ".join(repr(w) for w in problem.borda.method_weights)],
-        ["tie_break", problem.borda.tie_break],
-        ["subjective_source", problem.subjective_source],
-        *(["alias", f"{key} -> {value}"] for key, value in sorted(problem.aliases.items())),
-        *(["note", note] for note in report.notes),
-    ])
-    section("attributes", ["id", "kind", "direction"],
-            [[a.id, a.kind, a.direction] for a in attrs])
-    section("normalized", ["plan", "attribute", "x1", "x2", "x3", "x4"],
-            _keyed_rows([(p, a.id) for p in plans for a in attrs], report.normalized))
+    keys, values = zip(
+        ("name", problem.name),
+        ("rho", repr(problem.params.rho)),
+        ("theta_plus", repr(problem.params.theta_plus)),
+        ("theta_minus", repr(problem.params.theta_minus)),
+        ("borda_weights", " ".join(repr(w) for w in problem.borda.method_weights)),
+        ("tie_break", problem.borda.tie_break),
+        ("subjective_source", problem.subjective_source),
+        *(("alias", f"{key} -> {value}") for key, value in sorted(problem.aliases.items())),
+        *(("note", note) for note in report.notes),
+    )
+    section("parameters", "key,value", _rows("%s,%s\n", keys, _csv_fields(values)))
+    section("attributes", "id,kind,direction", _rows(
+        "%s,%s,%s\n", ids, [a.kind for a in problem.attributes],
+        [a.direction for a in problem.attributes]))
+    section("normalized", "plan,attribute,x1,x2,x3,x4", _rows(
+        "%s,%s" + ",%.6f" * 4 + "\n", [p for p in plans for _ in range(m)], ids * n,
+        *report.normalized.reshape(-1, 4).T.tolist()))
     w = report.weights
-    section("weights", ["attribute", "alpha_lo", "alpha_hi", "beta_opt",
-                        "beta_ent_1", "beta_ent_2", "beta_ent_3", "beta_ent_4",
-                        "beta_lo", "beta_hi", "w_lo", "w_hi"],
-            _keyed_rows([(a.id,) for a in attrs], np.column_stack(
-                [problem.subjective, w.beta_opt, w.beta_ent.T, w.beta_interval, w.w_final])))
-    section("ideal_vectors", ["attribute", "bound", "y1", "y2", "y3", "y4"],
-            _keyed_rows([(a.id, bound) for a in attrs for bound in ("positive", "negative")],
-                        np.stack([report.ideals.positive, report.ideals.negative], axis=1)))
+    table = np.column_stack(
+        [problem.subjective, w.beta_opt, w.beta_ent.T, w.beta_interval, w.w_final])
+    section("weights", "attribute,alpha_lo,alpha_hi,beta_opt,beta_ent_1,beta_ent_2,"
+            "beta_ent_3,beta_ent_4,beta_lo,beta_hi,w_lo,w_hi",
+            _rows("%s" + ",%.6f" * table.shape[1] + "\n", ids, *table.T.tolist()))
+    ideals = np.hstack([report.ideals.positive, report.ideals.negative]).reshape(-1, 4)
+    section("ideal_vectors", "attribute,bound,y1,y2,y3,y4", _rows(
+        "%s,%s" + ",%.6f" * 4 + "\n", [a for a in ids for _ in range(2)],
+        ["positive", "negative"] * m, *ideals.T.tolist()))
 
     *scores, gplus, gminus, borda, tiebreak = _plan_columns(report)
     beta1, beta2 = _fmt([report.incidence["beta1"], report.incidence["beta2"]])
-    section("incidence", ["plan", "gplus", "gminus"],
-            [*zip(plans, gplus, gminus), ["beta1", beta1, ""], ["beta2", beta2, ""]])
+    section("incidence", "plan,gplus,gminus", [
+        *_rows("%s,%.6f,%.6f\n", plans, gplus, gminus), f"beta1,{beta1},\n", f"beta2,{beta2},\n"])
     for ms, col in zip(report.methods, scores):
-        section(f"method {ms.method}", ["plan", "score", "rank"],
-                zip(plans, col, ms.ranks.tolist()))
-    section("borda", ["plan", "borda_score", "tiebreak_score", "final_rank"],
-            zip(plans, borda, tiebreak, report.result.final_ranks.tolist()))
-    section("final_ranking", ["position", "plan"], enumerate(report.final_order, start=1))
-    return buf.getvalue()[:-1]  # no blank line after the last section
+        section(f"method {ms.method}", "plan,score,rank",
+                _rows("%s,%.6f,%d\n", plans, col, ms.ranks.tolist()))
+    section("borda", "plan,borda_score,tiebreak_score,final_rank", _rows(
+        "%s,%.6f,%.6f,%d\n", plans, borda, tiebreak, report.result.final_ranks.tolist()))
+    section("final_ranking", "position,plan",
+            _rows("%d,%s\n", range(1, n + 1), [plans[k] for k in report.result.order.tolist()]))
+    return "".join(parts)[:-1]  # no blank line after the last section
 
 
 def _matrix_rows(problem: DecisionProblem) -> list:

@@ -12,11 +12,16 @@ cell-by-cell parse that the one-pass parse replaced; they share the per-cell,
 per-entry and per-vector validators, which the parse keeps as its error
 locators. ``loop_matrix_rows`` is the json-report's matrix echo built one
 column and one cell at a time, as before its cells were shared and gathered
-a kind at a time; it shares the label table.
+a kind at a time; it shares the label table. ``loop_render_text`` and
+``loop_render_csv`` are the text and CSV reports formatted one cell at a
+time, padded with ``rjust`` and joined per row, with one ``csv.writer`` row
+per line, as before each table was written from one row template.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -317,3 +322,148 @@ def loop_experts(vectors: list, ids: list[str]) -> np.ndarray:
     """The (k, m) expert vectors, one vector at a time."""
     return np.array([_parse_expert(vec, i, ids) for i, vec in enumerate(vectors)],
                     dtype=np.float64)
+
+
+def _loop_cells(values) -> list[str]:
+    return ["%.6f" % v for v in np.ravel(values).tolist()]
+
+
+def _loop_plan_columns(report) -> list[list[str]]:
+    """The four method scores, then gplus, gminus, borda and tiebreak, per cell."""
+    columns = [ms.scores for ms in report.methods] + [
+        report.incidence["gplus"], report.incidence["gminus"],
+        report.result.borda_scores, report.result.tiebreak_scores,
+    ]
+    return [_loop_cells(col) for col in np.array(columns)]
+
+
+def _loop_ranking_line(plans: list[str], ranks: np.ndarray) -> str:
+    order = np.argsort(ranks, kind="stable").tolist()  # ties keep plan index order
+    rank = ranks.tolist()
+    parts = [plans[order[0]]]
+    for prev, k in zip(order, order[1:]):
+        parts += ["=" if rank[prev] == rank[k] else ">", plans[k]]
+    return " ".join(parts)
+
+
+def _loop_plan_table(plans: list[str], head: list[str], cols: list[list[str]],
+                     width: int) -> list[str]:
+    rows = zip(["plan", *plans], *([h, *col] for h, col in zip(head, cols)))
+    return [f"  {plan:<10}" + "".join([cell.rjust(width) for cell in cells])
+            for plan, *cells in rows]
+
+
+def loop_render_text(report) -> str:
+    """The text report, one cell at a time."""
+    lines: list[str] = []
+    out = lines.append
+    problem = report.problem
+    plans = problem.plans
+
+    out(f"greyrank report: {problem.name}")
+    out(f"plans: {problem.n_plans}   attributes: {problem.n_attributes}")
+    out("")
+    out("parameters in force:")
+    out(f"  rho = {problem.params.rho:g}")
+    out(f"  theta_plus = {problem.params.theta_plus:g}   "
+        f"theta_minus = {problem.params.theta_minus:g}")
+    out("  borda method weights = " + ", ".join(f"{w:g}" for w in problem.borda.method_weights))
+    out(f"  tie break = {problem.borda.tie_break}")
+    out(f"  subjective weights from: {problem.subjective_source}")
+    if problem.aliases:
+        pairs = ", ".join(f"{k!r} -> {v!r}" for k, v in sorted(problem.aliases.items()))
+        out(f"  linguistic aliases: {pairs}")
+    out("  attribute directions: " + ", ".join(f"{a.id}={a.direction}" for a in problem.attributes))
+    if report.notes:
+        out("notes:")
+        for note in report.notes:
+            out(f"  - {note}")
+    out("")
+
+    out("interval weights (subjective x objective):")
+    out(f"  {'attribute':<12} {'alpha':>19} {'beta':>19} {'final':>19}")
+    weights = report.weights
+    for attr, a, b, w in zip(problem.attributes, problem.subjective.tolist(),
+                             weights.beta_interval.tolist(), weights.w_final.tolist()):
+        out(f"  {attr.id:<12} [{a[0]:.4f}, {a[1]:.4f}]  "
+            f"[{b[0]:.4f}, {b[1]:.4f}]  [{w[0]:.4f}, {w[1]:.4f}]")
+    out("")
+
+    *scores, gplus, gminus, borda, tiebreak = _loop_plan_columns(report)
+    out("method scores (rows are plans):")
+    lines += _loop_plan_table(plans, [ms.method for ms in report.methods], scores, 16)
+    out("")
+
+    beta1, beta2 = _loop_cells([report.incidence["beta1"], report.incidence["beta2"]])
+    out("incidence degrees against the ideals:")
+    lines += _loop_plan_table(plans, ["positive", "negative"], [gplus, gminus], 16)
+    out(f"  max-entropy pair weights: beta1 = {beta1}, beta2 = {beta2}")
+    out("")
+
+    for ms in report.methods:
+        out(f"ranking ({ms.method}): " + _loop_ranking_line(plans, ms.ranks))
+    out("")
+
+    out("weighted borda:")
+    final = [str(r) for r in report.result.final_ranks.tolist()]
+    lines += _loop_plan_table(plans, ["borda", "tiebreak", "final rank"],
+                              [borda, tiebreak, final], 12)
+    out("")
+    out("final ranking: " + " > ".join(report.final_order))
+    out("")
+    return "\n".join(lines)
+
+
+def loop_render_csv(report) -> str:
+    """The CSV report, one ``csv.writer`` row per line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    problem = report.problem
+    plans, attrs = problem.plans, problem.attributes
+
+    def section(title: str, head: list[str], rows) -> None:
+        buf.write(f"# {title}\n")
+        writer.writerow(head)
+        writer.writerows(rows)
+        buf.write("\n")
+
+    def keyed(keys: list[tuple], values) -> list[list[str]]:
+        rows = np.reshape(values, (len(keys), -1))
+        return [[*key, *_loop_cells(row)] for key, row in zip(keys, rows)]
+
+    section("parameters", ["key", "value"], [
+        ["name", problem.name],
+        ["rho", repr(problem.params.rho)],
+        ["theta_plus", repr(problem.params.theta_plus)],
+        ["theta_minus", repr(problem.params.theta_minus)],
+        ["borda_weights", " ".join(repr(w) for w in problem.borda.method_weights)],
+        ["tie_break", problem.borda.tie_break],
+        ["subjective_source", problem.subjective_source],
+        *(["alias", f"{key} -> {value}"] for key, value in sorted(problem.aliases.items())),
+        *(["note", note] for note in report.notes),
+    ])
+    section("attributes", ["id", "kind", "direction"],
+            [[a.id, a.kind, a.direction] for a in attrs])
+    section("normalized", ["plan", "attribute", "x1", "x2", "x3", "x4"],
+            keyed([(p, a.id) for p in plans for a in attrs], report.normalized))
+    w = report.weights
+    section("weights", ["attribute", "alpha_lo", "alpha_hi", "beta_opt",
+                        "beta_ent_1", "beta_ent_2", "beta_ent_3", "beta_ent_4",
+                        "beta_lo", "beta_hi", "w_lo", "w_hi"],
+            keyed([(a.id,) for a in attrs], np.column_stack(
+                [problem.subjective, w.beta_opt, w.beta_ent.T, w.beta_interval, w.w_final])))
+    section("ideal_vectors", ["attribute", "bound", "y1", "y2", "y3", "y4"],
+            keyed([(a.id, bound) for a in attrs for bound in ("positive", "negative")],
+                  np.stack([report.ideals.positive, report.ideals.negative], axis=1)))
+
+    *scores, gplus, gminus, borda, tiebreak = _loop_plan_columns(report)
+    beta1, beta2 = _loop_cells([report.incidence["beta1"], report.incidence["beta2"]])
+    section("incidence", ["plan", "gplus", "gminus"],
+            [*zip(plans, gplus, gminus), ["beta1", beta1, ""], ["beta2", beta2, ""]])
+    for ms, col in zip(report.methods, scores):
+        section(f"method {ms.method}", ["plan", "score", "rank"],
+                zip(plans, col, ms.ranks.tolist()))
+    section("borda", ["plan", "borda_score", "tiebreak_score", "final_rank"],
+            zip(plans, borda, tiebreak, report.result.final_ranks.tolist()))
+    section("final_ranking", ["position", "plan"], enumerate(report.final_order, start=1))
+    return buf.getvalue()[:-1]  # no blank line after the last section

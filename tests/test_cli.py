@@ -267,6 +267,22 @@ def test_lone_surrogate_is_located(tmp_path, capsysbinary, field, fmt):
                    "which UTF-8 cannot encode\n").encode()
 
 
+def test_lone_surrogate_deep_in_a_long_plan_list_is_located(tmp_path, capsysbinary):
+    # the whole list is checked at once; the first plan it cannot encode is named
+    data = copy.deepcopy(MINIMAL)
+    data["plans"] = [f"P{i}" for i in range(2000)]
+    data["plans"][1500] = "P\ud800"
+    data["plans"][1800] = "Q\udfff"
+    data["matrix"] *= 1000
+    data["preferences"] *= 1000
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 2 and out == b""
+    assert err == (b"greyrank: error: plan 1500: 'P\\ud800' has a lone surrogate, "
+                   b"which UTF-8 cannot encode\n")
+
+
 def test_file_that_is_not_utf8_is_located(tmp_path, capsysbinary):
     path = tmp_path / "latin1.json"
     path.write_bytes(json.dumps(fighter_document()).replace("G1", "G\xe9").encode("latin-1"))

@@ -105,6 +105,39 @@ def test_row_length_mismatch_is_located():
         parse_problem_dict(data)
 
 
+def _long_toy(n: int) -> dict:
+    """The toy problem with its rows repeated to ``n`` plans."""
+    data = toy(plans=[f"P{i}" for i in range(n)])
+    data["matrix"] = [copy.deepcopy(data["matrix"][i % 2]) for i in range(n)]
+    data["preferences"] = [list(data["preferences"][i % 2]) for i in range(n)]
+    return data
+
+
+@pytest.mark.parametrize("row", [None, {}, [], [1.0] * 5, "abcd", (1.0, 2.0, 3.0, 4.0)])
+def test_malformed_row_deep_in_the_matrix_is_located_after_the_rows_above(row):
+    data = _long_toy(2000)
+    data["matrix"][1400] = row
+    data["matrix"][1700][0] = "bad"  # below the malformed row: not reached
+    with pytest.raises(ValidationError, match=r"^plan 'P1400': matrix row must have 4 cells$"):
+        parse_problem_dict(data)
+    data["matrix"][900][0] = "bad"  # above it: checked, and located, first
+    with pytest.raises(ValidationError, match=r"^plan 'P900', attribute 'A1': "):
+        parse_problem_dict(data)
+
+
+@pytest.mark.parametrize("plans", [["P1", 2], [None, "P2"], ["P1", b"P2"], ["P1", ["P2"]]])
+def test_plan_that_is_not_a_string_is_refused(plans):
+    with pytest.raises(ValidationError, match=r"^plans must be a nonempty list of names$"):
+        parse_problem_dict(toy(plans=plans))
+
+
+def test_plan_of_a_str_subclass_is_accepted():
+    class Name(str):
+        pass
+
+    assert parse_problem_dict(toy(plans=[Name("P1"), "P2"])).plans == ["P1", "P2"]
+
+
 def test_descending_interval_names_plan_and_attribute():
     data = toy()
     data["matrix"][0][1] = {"interval": [485, 465]}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greyrank import (
@@ -22,7 +22,7 @@ from greyrank import (
 from greyrank.report import _matrix_rows, render_csv, render_json, render_text
 from greyrank.values import term_indices
 
-from oracles import loop_matrix_rows
+from oracles import loop_matrix_rows, loop_render_csv, loop_render_text
 from test_problem_io import KINDS, MINIMAL, column_document
 
 
@@ -206,6 +206,62 @@ def echo_problems(draw):
 def test_matrix_echo_matches_the_cell_loop(problem):
     # shared term cells and kind-wide gathers write the bytes a new dict per cell does
     assert orjson.dumps(_matrix_rows(problem)) == orjson.dumps(loop_matrix_rows(problem))
+
+
+# Names that a template or a CSV writer could get wrong. Parse accepts the empty name.
+EDGE_NAMES = ["%s", "%", "%d%%", "a,b", 'say "hi"', "two\rlines", "two\nlines", "  lead",
+              "é→ü", "a name longer than ten", "", ",", '"']
+names = st.one_of(st.sampled_from(EDGE_NAMES),
+                  st.text(st.characters(blacklist_categories=("Cs",)), max_size=14))
+REPORT_ALIASES = [{}, {"50%, \"so-so\"": "general", "%s": "high"}]
+
+
+@st.composite
+def report_problems(draw):
+    """Problems with edge-case names: one plan, a few, or past the one-block
+    threshold (m * n^2 > 2^16), and with every plan tied or not."""
+    n, m = draw(st.sampled_from([(1, 4), (5, 6), (90, 9)]))
+    pool = draw(st.lists(names, min_size=min(n, 8), max_size=min(n, 8), unique=True))
+    plans = pool + [f"{pool[i % len(pool)]}#{i}" for i in range(len(pool), n)]
+    ids = draw(st.lists(names, min_size=m, max_size=m, unique=True))
+    assume(len(set(plans)) == n)
+    kinds = draw(st.permutations(KINDS)) + draw(st.lists(st.sampled_from(KINDS),
+                                                         min_size=m - 4, max_size=m - 4))
+    aliases = draw(st.sampled_from(REPORT_ALIASES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = term_indices(aliases)
+    labels = sorted(label for label, k in terms.items() if abs(k) < 4)  # cost or benefit
+
+    def cell(kind: str):  # midpoints positive, so that every column normalizes
+        if kind == "real":
+            return rng.uniform(0.5, 10)
+        if kind == "interval":
+            return {"interval": sorted(rng.uniform(0.5, 10) for _ in range(2))}
+        if kind == "linguistic":
+            return {"ling": rng.choice(labels)}
+        lo, hi = sorted(rng.sample(labels, 2), key=terms.get)
+        return {"uncertain": [lo, hi]}
+
+    tied = draw(st.booleans())
+    rows = 1 if tied else n
+    matrix = [[cell(kind) for kind in kinds] for _ in range(rows)] * (n // rows)
+    preferences = [sorted(rng.uniform(0, 1) for _ in range(4)) for _ in range(rows)] * (n // rows)
+    doc = column_document(kinds, matrix, aliases, preferences)
+    doc["plans"] = plans
+    for attr, id_ in zip(doc["attributes"], ids):
+        attr.update(id=id_, direction=rng.choice(["benefit", "cost"]))
+    doc["name"] = draw(names)
+    return parse_problem_dict(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(report_problems())
+def test_text_and_csv_match_the_cell_by_cell_renderers(problem):
+    # one template per table writes the bytes that per-cell rjust and
+    # one csv.writer row per line do
+    report = run_pipeline(problem)
+    assert render_text(report) == loop_render_text(report)
+    assert render_csv(report) == loop_render_csv(report)
 
 
 def _fighter_x3():
