@@ -419,18 +419,15 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         f"missing or unsupported schema version {schema!r}; expected {SCHEMA_VERSION}",
     )
 
-    # Each list check below is one pass over the list, then, where that fails,
-    # one item at a time, to name the item.
     plans = data.get("plans")
     _require(
-        isinstance(plans, list) and len(plans) >= 1
-        and (set(map(type, plans)) == {str} or all(isinstance(p, str) for p in plans)),
+        isinstance(plans, list) and len(plans) >= 1 and all(isinstance(p, str) for p in plans),
         "plans must be a nonempty list of names",
     )
     _require(len(set(plans)) == len(plans), "plan names must be unique")
     try:
         "".join(plans).encode("utf-8")
-    except UnicodeEncodeError:
+    except UnicodeEncodeError:  # find and name the plan
         for i, plan in enumerate(plans):
             _require_utf8(plan, f"plan {i}")
 
@@ -464,10 +461,8 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         f"matrix must have one row per plan ({n} rows)",
     )
     # cells in rows above a malformed row are checked, and located, first
-    short = n
-    if not (set(map(type, matrix)) == {list} and set(map(len, matrix)) == {m}):
-        short = next((i for i, row in enumerate(matrix)
-                      if not (isinstance(row, list) and len(row) == m)), n)
+    short = next((i for i, row in enumerate(matrix)
+                  if not (isinstance(row, list) and len(row) == m)), n)
     raw = _parse_matrix(matrix[:short], plans, attributes, terms)
     if short < n:
         raise ValidationError(f"plan {plans[short]!r}: matrix row must have {m} cells")

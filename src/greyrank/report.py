@@ -4,14 +4,15 @@ The one module that knows the output formats, the json-report schema included.
 All three renderers are deterministic: the same report always produces the
 same bytes, so outputs can be diffed or checked into golden files.
 
-Text and CSV share one row model: ``_rows`` fills one ``%`` template per
-table from the ``.tolist()`` columns of its arrays, so every line of a table
-is one string formatting, six decimals a float (``"%16.6f" % v`` is
+The text report writes each table from one ``%`` template: ``_rows`` fills
+it from the ``.tolist()`` columns of the table's arrays, so every line is one
+string formatting, six decimals a float (``"%16.6f" % v`` is
 ``("%.6f" % v).rjust(16)``). Names and other free text enter a template only
-as its arguments. Text lays the plan tables out with ``_plan_table``; CSV
-writes every section, header, rows and blank line, through one ``section``,
-and quotes each plan name, attribute id and parameter value once, by
-``csv.writer``, in ``_csv_fields``. ``_fmt`` formats the lone values.
+as its arguments. ``_plan_table`` lays out the plan tables. CSV writes every
+section, header, rows and blank line, through one ``section``, one
+``csv.writer`` row per line, its floats formatted a column at a time by
+``_fmt``; ``_keyed_rows`` puts key columns before a table of floats. Both
+read the per-plan columns from one ``_plan_columns`` array.
 orjson writes the json-report from the report's arrays, each float in the
 shortest form that reads back to the same value. In its problem echo, every
 cell of one term, or of one pair of terms, is one shared dict;
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -47,21 +47,23 @@ def _rows(template: str, *columns) -> map:
     return map(template.__mod__, zip(*columns))
 
 
-def _plan_columns(report: Report) -> list[list[float]]:
-    """The per-plan columns: the four method scores, then gplus, gminus, borda and tiebreak."""
+def _plan_columns(report: Report) -> np.ndarray:
+    """The per-plan columns, one row each: the four method scores, then gplus,
+    gminus, borda and tiebreak."""
     return np.array([ms.scores for ms in report.methods] + [
         report.incidence["gplus"], report.incidence["gminus"],
         report.result.borda_scores, report.result.tiebreak_scores,
-    ]).tolist()
+    ])
 
 
 def _ranking_line(plans: list[str], ranks: np.ndarray) -> str:
     """Render a ranking as ``G2 > G5 = G1 > G3``, ties joined with ``=``."""
     order = np.argsort(ranks, kind="stable")  # ties keep plan index order
-    rank = ranks[order]
     parts = [""] * (2 * len(order) - 1)  # the plans, and a separator between each two
     parts[0::2] = map(plans.__getitem__, order.tolist())
-    parts[1::2] = map((" > ", " = ").__getitem__, (rank[1:] == rank[:-1]).tolist())
+    # np.diff, not ==: an integer == would be the first in a solve, and it
+    # maps 128 KiB more of numpy's code, which every solve's peak RSS shows
+    parts[1::2] = map((" = ", " > ").__getitem__, np.diff(ranks[order]).astype(bool).tolist())
     return "".join(parts)
 
 
@@ -117,7 +119,7 @@ def render_text(report: Report) -> str:
                                      weights.w_final]).T.tolist())
     out("")
 
-    *scores, gplus, gminus, borda, tiebreak = _plan_columns(report)
+    *scores, gplus, gminus, borda, tiebreak = _plan_columns(report).tolist()
     out("method scores (rows are plans):")
     lines += _plan_table(plans, [ms.method for ms in report.methods], 16, [".6f"] * 4, scores)
     out("")
@@ -141,69 +143,61 @@ def render_text(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _csv_fields(values) -> list[str]:
-    """Each value as ``csv.writer`` writes it as one field of a row of several:
-    quoted only where it must be."""
-    buf = io.StringIO()
-    write = csv.writer(buf, lineterminator="\n").writerow
-    ends = list(accumulate(map(write, zip(values, repeat("")))))  # chars written per row
-    text = buf.getvalue()
-    return [text[start:end - 2] for start, end in zip([0, *ends], ends)]  # drop ",\n"
+def _keyed_rows(keys: list[list], values) -> zip:
+    """One CSV row per entry of the ``keys`` columns: its keys, then its row of
+    ``values``, reshaped to one row per key, to six decimals."""
+    return zip(*keys, *map(_fmt, np.reshape(values, (len(keys[0]), -1)).T))
 
 
 def render_csv(report: Report) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     problem = report.problem
-    n, m = problem.n_plans, problem.n_attributes
-    plans = _csv_fields(problem.plans)
-    ids = _csv_fields([a.id for a in problem.attributes])
-    parts: list[str] = []
+    plans, attrs = problem.plans, problem.attributes
+    ids = [a.id for a in attrs]
 
-    def section(title: str, head: str, rows) -> None:
-        parts.append(f"# {title}\n{head}\n")
-        parts.extend(rows)
-        parts.append("\n")
+    def section(title: str, head: list[str], rows) -> None:
+        buf.write(f"# {title}\n")
+        writer.writerow(head)
+        writer.writerows(rows)
+        buf.write("\n")
 
-    keys, values = zip(
-        ("name", problem.name),
-        ("rho", repr(problem.params.rho)),
-        ("theta_plus", repr(problem.params.theta_plus)),
-        ("theta_minus", repr(problem.params.theta_minus)),
-        ("borda_weights", " ".join(repr(w) for w in problem.borda.method_weights)),
-        ("tie_break", problem.borda.tie_break),
-        ("subjective_source", problem.subjective_source),
-        *(("alias", f"{key} -> {value}") for key, value in sorted(problem.aliases.items())),
-        *(("note", note) for note in report.notes),
-    )
-    section("parameters", "key,value", _rows("%s,%s\n", keys, _csv_fields(values)))
-    section("attributes", "id,kind,direction", _rows(
-        "%s,%s,%s\n", ids, [a.kind for a in problem.attributes],
-        [a.direction for a in problem.attributes]))
-    section("normalized", "plan,attribute,x1,x2,x3,x4", _rows(
-        "%s,%s" + ",%.6f" * 4 + "\n", [p for p in plans for _ in range(m)], ids * n,
-        *report.normalized.reshape(-1, 4).T.tolist()))
+    section("parameters", ["key", "value"], [
+        ["name", problem.name],
+        ["rho", repr(problem.params.rho)],
+        ["theta_plus", repr(problem.params.theta_plus)],
+        ["theta_minus", repr(problem.params.theta_minus)],
+        ["borda_weights", " ".join(repr(w) for w in problem.borda.method_weights)],
+        ["tie_break", problem.borda.tie_break],
+        ["subjective_source", problem.subjective_source],
+        *(["alias", f"{key} -> {value}"] for key, value in sorted(problem.aliases.items())),
+        *(["note", note] for note in report.notes),
+    ])
+    section("attributes", ["id", "kind", "direction"],
+            [[a.id, a.kind, a.direction] for a in attrs])
+    section("normalized", ["plan", "attribute", "x1", "x2", "x3", "x4"], _keyed_rows(
+        [[p for p in plans for _ in attrs], ids * len(plans)], report.normalized))
     w = report.weights
-    table = np.column_stack(
-        [problem.subjective, w.beta_opt, w.beta_ent.T, w.beta_interval, w.w_final])
-    section("weights", "attribute,alpha_lo,alpha_hi,beta_opt,beta_ent_1,beta_ent_2,"
-            "beta_ent_3,beta_ent_4,beta_lo,beta_hi,w_lo,w_hi",
-            _rows("%s" + ",%.6f" * table.shape[1] + "\n", ids, *table.T.tolist()))
-    ideals = np.hstack([report.ideals.positive, report.ideals.negative]).reshape(-1, 4)
-    section("ideal_vectors", "attribute,bound,y1,y2,y3,y4", _rows(
-        "%s,%s" + ",%.6f" * 4 + "\n", [a for a in ids for _ in range(2)],
-        ["positive", "negative"] * m, *ideals.T.tolist()))
+    section("weights", ["attribute", "alpha_lo", "alpha_hi", "beta_opt",
+                        "beta_ent_1", "beta_ent_2", "beta_ent_3", "beta_ent_4",
+                        "beta_lo", "beta_hi", "w_lo", "w_hi"],
+            _keyed_rows([ids], np.column_stack(
+                [problem.subjective, w.beta_opt, w.beta_ent.T, w.beta_interval, w.w_final])))
+    section("ideal_vectors", ["attribute", "bound", "y1", "y2", "y3", "y4"], _keyed_rows(
+        [[a for a in ids for _ in range(2)], ["positive", "negative"] * len(ids)],
+        np.stack([report.ideals.positive, report.ideals.negative], axis=1)))
 
-    *scores, gplus, gminus, borda, tiebreak = _plan_columns(report)
+    *scores, gplus, gminus, borda, tiebreak = map(_fmt, _plan_columns(report))
     beta1, beta2 = _fmt([report.incidence["beta1"], report.incidence["beta2"]])
-    section("incidence", "plan,gplus,gminus", [
-        *_rows("%s,%.6f,%.6f\n", plans, gplus, gminus), f"beta1,{beta1},\n", f"beta2,{beta2},\n"])
+    section("incidence", ["plan", "gplus", "gminus"],
+            [*zip(plans, gplus, gminus), ["beta1", beta1, ""], ["beta2", beta2, ""]])
     for ms, col in zip(report.methods, scores):
-        section(f"method {ms.method}", "plan,score,rank",
-                _rows("%s,%.6f,%d\n", plans, col, ms.ranks.tolist()))
-    section("borda", "plan,borda_score,tiebreak_score,final_rank", _rows(
-        "%s,%.6f,%.6f,%d\n", plans, borda, tiebreak, report.result.final_ranks.tolist()))
-    section("final_ranking", "position,plan",
-            _rows("%d,%s\n", range(1, n + 1), [plans[k] for k in report.result.order.tolist()]))
-    return "".join(parts)[:-1]  # no blank line after the last section
+        section(f"method {ms.method}", ["plan", "score", "rank"],
+                zip(plans, col, ms.ranks.tolist()))
+    section("borda", ["plan", "borda_score", "tiebreak_score", "final_rank"],
+            zip(plans, borda, tiebreak, report.result.final_ranks.tolist()))
+    section("final_ranking", ["position", "plan"], enumerate(report.final_order, start=1))
+    return buf.getvalue()[:-1]  # no blank line after the last section
 
 
 def _matrix_rows(problem: DecisionProblem) -> list:

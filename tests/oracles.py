@@ -12,10 +12,11 @@ cell-by-cell parse that the one-pass parse replaced; they share the per-cell,
 per-entry and per-vector validators, which the parse keeps as its error
 locators. ``loop_matrix_rows`` is the json-report's matrix echo built one
 column and one cell at a time, as before its cells were shared and gathered
-a kind at a time; it shares the label table. ``loop_render_text`` and
-``loop_render_csv`` are the text and CSV reports formatted one cell at a
-time, padded with ``rjust`` and joined per row, with one ``csv.writer`` row
-per line, as before each table was written from one row template.
+a kind at a time; it shares the label table. ``loop_render_text`` is the
+text report formatted one cell at a time, padded with ``rjust`` and joined
+per row, as before each table was written from one row template.
+``loop_render_csv`` is the CSV report with each row built from its keys and
+its own cells, where ``render_csv`` formats a whole column at a time.
 """
 
 from __future__ import annotations

@@ -257,8 +257,8 @@ def report_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(report_problems())
 def test_text_and_csv_match_the_cell_by_cell_renderers(problem):
-    # one template per table writes the bytes that per-cell rjust and
-    # one csv.writer row per line do
+    # one template per text table writes the bytes that per-cell rjust does,
+    # and CSV formatted a column at a time those of CSV formatted row by row
     report = run_pipeline(problem)
     assert render_text(report) == loop_render_text(report)
     assert render_csv(report) == loop_render_csv(report)
