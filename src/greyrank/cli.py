@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import DegenerateProblemError, ValidationError
+from .errors import DegenerateProblemError, ValidationError, located
 from .pipeline import run_pipeline
 from .problem import DecisionProblem, _load_document, parse_problem_dict
 from .report import FORMATS, emit_report
@@ -83,10 +83,8 @@ def _apply_overrides(problem: DecisionProblem, args: argparse.Namespace) -> Deci
         changes.update(theta_plus=args.theta_plus, theta_minus=1.0 - args.theta_plus)
     if args.borda_weights is not None:
         weights["method_weights"] = _parse_borda_weights(args.borda_weights)
-    try:
+    with located("params"):
         params, borda = replace(problem.params, **changes), replace(problem.borda, **weights)
-    except ValidationError as exc:
-        raise ValidationError(f"params: {exc}") from exc
     return replace(problem, params=params, borda=borda)
 
 

@@ -45,7 +45,8 @@ class MethodParams:
     ``theta_plus``/``theta_minus`` bias the grey approach degree toward the
     positive or negative ideal; they must sum to one, and the boundary case
     theta_plus=1, theta_minus=0 switches to the plain positive incidence
-    degree.
+    degree. theta_minus may be 1: ``1 - theta_plus`` rounds to 1.0 for a
+    theta_plus of 2**-54 or less.
     """
 
     rho: float = 0.5
@@ -55,7 +56,7 @@ class MethodParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < 1.0:
             raise ValidationError(f"rho must lie in (0, 1), got {self.rho}")
-        if not (0.0 < self.theta_plus <= 1.0 and 0.0 <= self.theta_minus < 1.0):
+        if not (0.0 < self.theta_plus <= 1.0 and 0.0 <= self.theta_minus <= 1.0):
             raise ValidationError(
                 f"preference coefficients out of range: theta_plus={self.theta_plus}, "
                 f"theta_minus={self.theta_minus}"

@@ -8,13 +8,12 @@ This module only computes; :mod:`greyrank.report` owns the output formats.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregate import RankResult, weighted_borda
-from .errors import GreyrankError
+from .errors import located
 from .evaluate import (
     IdealVectors,
     MethodScores,
@@ -34,17 +33,6 @@ from .weights import (
 )
 
 __all__ = ["Report", "run_pipeline"]
-
-
-@contextmanager
-def _stage(name: str):
-    """Re-raise pipeline errors with the failing stage prepended."""
-    try:
-        yield
-    except GreyrankError as exc:
-        if str(exc).startswith("stage "):
-            raise
-        raise type(exc)(f"stage {name}: {exc}") from exc
 
 
 @dataclass
@@ -67,32 +55,39 @@ class Report:
 
 
 def run_pipeline(problem: DecisionProblem) -> Report:
-    """Run the full chain on a validated problem."""
-    with _stage("normalize"):
-        x = normalize_matrix(problem.raw, problem.attributes)
+    """Run the full chain on a validated problem.
 
-    with _stage("weights"):
-        beta_opt, notes = optimization_weights(x)
-        beta_ent, entropy_notes = entropy_weight_table(x)
-        notes += entropy_notes
-        ids = [a.id for a in problem.attributes]
-        beta_interval = comprehensive_objective(beta_opt, beta_ent, ids)
-        w_final = final_weights(problem.subjective, beta_interval, ids)
-        bundle = WeightBundle(
-            beta_opt=beta_opt,
-            beta_ent=beta_ent,
-            beta_interval=beta_interval,
-            w_final=w_final,
-        )
+    The stages run under ``np.errstate(...="raise")``, so a floating-point
+    overflow, invalid operation or division by zero that no stage catches
+    exits as a :class:`~greyrank.errors.DegenerateProblemError` naming its
+    stage, never as a silent inf or NaN.
+    """
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with located("stage normalize"):
+            x = normalize_matrix(problem.raw, problem.attributes)
 
-    with _stage("evaluate"):
-        z = blend_preference(x, problem.preferences)
-        y = apply_weights(z, w_final)
-        ideals = ideal_vectors(y)
-        methods, incidence = score_all_methods(y, ideals, problem.params)
+        with located("stage weights"):
+            beta_opt, notes = optimization_weights(x)
+            beta_ent, entropy_notes = entropy_weight_table(x)
+            notes += entropy_notes
+            ids = [a.id for a in problem.attributes]
+            beta_interval = comprehensive_objective(beta_opt, beta_ent, ids)
+            w_final = final_weights(problem.subjective, beta_interval, ids)
+            bundle = WeightBundle(
+                beta_opt=beta_opt,
+                beta_ent=beta_ent,
+                beta_interval=beta_interval,
+                w_final=w_final,
+            )
 
-    with _stage("aggregate"):
-        result = weighted_borda(methods, problem.borda)
+        with located("stage evaluate"):
+            z = blend_preference(x, problem.preferences)
+            y = apply_weights(z, w_final)
+            ideals = ideal_vectors(y)
+            methods, incidence = score_all_methods(y, ideals, problem.params)
+
+        with located("stage aggregate"):
+            result = weighted_borda(methods, problem.borda)
 
     return Report(
         problem=problem,

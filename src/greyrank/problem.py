@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import BordaConfig
-from .errors import ValidationError
+from .errors import ValidationError, located
 from .evaluate import MethodParams
 from .normalize import AttributeSpec
 from .values import fold_label, term_index, term_indices
@@ -117,42 +117,39 @@ def _require_utf8(text: str, where: str) -> None:
         ) from None
 
 
-def _as_number(value, where: str) -> float:
+def _as_number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
+        raise ValidationError(f"expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         # JSON integers are unbounded; this one has no finite float value
-        raise ValidationError(
-            f"{where}: non-finite number, integer too large for a float"
-        ) from None
+        raise ValidationError("non-finite number, integer too large for a float") from None
 
 
 def _parse_cell(raw, kind: str, terms: dict[str, int], where: str) -> tuple[float, float]:
     """Validate one cell and return its bounds: values, or term indices in ``terms``."""
-    try:
+    with located(where):
         if kind == "real":
             if isinstance(raw, dict):
                 if set(raw) != {"real"}:
                     raise ValidationError(
-                        f"{where}: real cell must be a number or {{\"real\": v}}, got {raw!r}"
+                        f"real cell must be a number or {{\"real\": v}}, got {raw!r}"
                     )
                 raw = raw["real"]
-            value = _as_number(raw, where)
+            value = _as_number(raw)
             if not math.isfinite(value):
                 raise ValidationError(f"non-finite real cell {value}")
             return value, value
         if kind == "interval":
             if not (isinstance(raw, dict) and set(raw) == {"interval"}):
                 raise ValidationError(
-                    f"{where}: interval cell must look like {{\"interval\": [lo, hi]}}, "
-                    f"got {raw!r}"
+                    f"interval cell must look like {{\"interval\": [lo, hi]}}, got {raw!r}"
                 )
             bounds = raw["interval"]
             if not (isinstance(bounds, list) and len(bounds) == 2):
-                raise ValidationError(f"{where}: interval needs exactly two bounds, got {bounds!r}")
-            lo, hi = _as_number(bounds[0], where), _as_number(bounds[1], where)
+                raise ValidationError(f"interval needs exactly two bounds, got {bounds!r}")
+            lo, hi = _as_number(bounds[0]), _as_number(bounds[1])
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValidationError(f"non-finite interval bound in [{lo}, {hi}]")
             if lo > hi:
@@ -161,29 +158,25 @@ def _parse_cell(raw, kind: str, terms: dict[str, int], where: str) -> tuple[floa
         if kind == "linguistic":
             if not (isinstance(raw, dict) and set(raw) == {"ling"} and isinstance(raw["ling"], str)):
                 raise ValidationError(
-                    f"{where}: linguistic cell must look like {{\"ling\": \"high\"}}, got {raw!r}"
+                    f"linguistic cell must look like {{\"ling\": \"high\"}}, got {raw!r}"
                 )
             k = term_index(raw["ling"], terms)
             return k, k
         # uncertain-linguistic
         if not (isinstance(raw, dict) and set(raw) == {"uncertain"}):
             raise ValidationError(
-                f"{where}: uncertain cell must look like "
-                f"{{\"uncertain\": [\"low\", \"high\"]}}, got {raw!r}"
+                f"uncertain cell must look like {{\"uncertain\": [\"low\", \"high\"]}}, "
+                f"got {raw!r}"
             )
         pair = raw["uncertain"]
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(t, str) for t in pair)):
-            raise ValidationError(f"{where}: uncertain cell needs two term labels, got {pair!r}")
+            raise ValidationError(f"uncertain cell needs two term labels, got {pair!r}")
         lower, upper = term_index(pair[0], terms), term_index(pair[1], terms)
         if lower > upper:
             raise ValidationError(
                 f"uncertain linguistic range out of order: [{pair[0]!r}, {pair[1]!r}]"
             )
         return lower, upper
-    except ValidationError as exc:
-        if str(exc).startswith(where):
-            raise
-        raise ValidationError(f"{where}: {exc}") from exc
 
 
 # What the one-pass checks below raise on input they leave to the per-cell loop.
@@ -282,16 +275,17 @@ def _parse_preferences(entries: list, plans: list[str]) -> np.ndarray:
 
 def _parse_preference(entry, where: str) -> list[float]:
     """One ascending, finite, nonnegative 4-tuple of numbers."""
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
-        raise ValidationError(f"{where}: expected 4 components, got {entry!r}")
-    q = [_as_number(v, where) for v in entry]
-    if not all(math.isfinite(v) for v in q):
-        raise ValidationError(f"{where}: non-finite component in 4-tuple {q}")
-    if not q[0] <= q[1] <= q[2] <= q[3]:
-        raise ValidationError(f"{where}: 4-tuple components not ascending: {q}")
-    if q[0] < 0:
-        raise ValidationError(f"{where}: 4-tuple components must be nonnegative: {q}")
-    return q
+    with located(where):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
+            raise ValidationError(f"expected 4 components, got {entry!r}")
+        q = [_as_number(v) for v in entry]
+        if not all(math.isfinite(v) for v in q):
+            raise ValidationError(f"non-finite component in 4-tuple {q}")
+        if not q[0] <= q[1] <= q[2] <= q[3]:
+            raise ValidationError(f"4-tuple components not ascending: {q}")
+        if q[0] < 0:
+            raise ValidationError(f"4-tuple components must be nonnegative: {q}")
+        return q
 
 
 def _parse_aliases(data) -> tuple[dict[str, str], dict[str, int]]:
@@ -332,12 +326,9 @@ def _parse_expert(vec, i: int, ids: list[str]) -> list[float]:
     )
     row = []
     for attr_id, value in zip(ids, vec):
-        where = f"expert {i}, attribute {attr_id!r}"
-        w = _as_number(value, where)
-        _require(
-            math.isfinite(w) and w >= 0,
-            f"{where}: weight must be finite and nonnegative, got {w}",
-        )
+        with located(f"expert {i}, attribute {attr_id!r}"):
+            w = _as_number(value)
+            _require(math.isfinite(w) and w >= 0, f"weight must be finite and nonnegative, got {w}")
         row.append(w)
     return row
 
@@ -363,16 +354,14 @@ def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | No
         )
         rows = []
         for attr_id, pair in zip(ids, intervals):
-            where = f"subjective weight for attribute {attr_id!r}"
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                f"{where}: expected a [lo, hi] pair, got {pair!r}",
-            )
-            lo, hi = _as_number(pair[0], where), _as_number(pair[1], where)
-            _require(
-                math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi,
-                f"{where}: requires finite 0 <= lo <= hi, got [{lo}, {hi}]",
-            )
+            # the messages are formatted only on failure: a pair's repr costs
+            # more than its checks
+            with located(f"subjective weight for attribute {attr_id!r}"):
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ValidationError(f"expected a [lo, hi] pair, got {pair!r}")
+                lo, hi = _as_number(pair[0]), _as_number(pair[1])
+                if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
+                    raise ValidationError(f"requires finite 0 <= lo <= hi, got [{lo}, {hi}]")
             rows.append((lo, hi))
         return np.array(rows, dtype=np.float64), None
     raise ValidationError(
@@ -385,26 +374,25 @@ def _parse_params(params) -> tuple[MethodParams, BordaConfig]:
     _require(isinstance(params, dict), "params must be an object")
     unknown = set(params) - _PARAM_KEYS
     _require(not unknown, f"unknown params keys: {sorted(unknown)}")
-    rho = _as_number(params.get("rho", 0.5), "params.rho")
-    theta_plus = _as_number(params.get("theta_plus", 0.5), "params.theta_plus")
-    theta_minus = _as_number(params.get("theta_minus", 1.0 - theta_plus), "params.theta_minus")
-    try:
+    with located("params.rho"):
+        rho = _as_number(params.get("rho", 0.5))
+    with located("params.theta_plus"):
+        theta_plus = _as_number(params.get("theta_plus", 0.5))
+    with located("params.theta_minus"):
+        theta_minus = _as_number(params.get("theta_minus", 1.0 - theta_plus))
+    with located("params"):
         mp = MethodParams(rho=rho, theta_plus=theta_plus, theta_minus=theta_minus)
-    except ValidationError as exc:
-        raise ValidationError(f"params: {exc}") from exc
     weights = params.get("borda_weights", [0.25, 0.25, 0.25, 0.25])
     _require(
         isinstance(weights, (list, tuple)) and len(weights) == 4,
         "params.borda_weights must list 4 method weights",
     )
     tie_break = params.get("tie_break", "normalized-score-sum")
-    try:
-        borda = BordaConfig(
-            method_weights=tuple(_as_number(w, "params.borda_weights") for w in weights),
-            tie_break=tie_break,
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"params: {exc}") from exc
+    # a weight that is not a number reads "params: params.borda_weights: ..."
+    with located("params"):
+        with located("params.borda_weights"):
+            method_weights = tuple(map(_as_number, weights))
+        borda = BordaConfig(method_weights=method_weights, tie_break=tie_break)
     return mp, borda
 
 

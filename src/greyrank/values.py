@@ -12,7 +12,7 @@ happens in one metric space, 4-dimensional Euclidean.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ValidationError, located
 
 __all__ = [
     "DEFAULT_ALIASES",
@@ -80,10 +80,8 @@ def term_indices(aliases: dict[str, str] | None = None) -> dict[str, int]:
             raise ValidationError(
                 f"linguistic_aliases keys {keys[label]!r} and {key!r} both fold to {label!r}"
             )
-        try:
+        with located(f"linguistic_aliases entry {key!r}"):
             terms[label], keys[label] = term_index(aliases[key]), key
-        except ValidationError as exc:
-            raise ValidationError(f"linguistic_aliases entry {key!r}: {exc}") from None
     return terms
 
 

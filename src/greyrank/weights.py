@@ -94,17 +94,21 @@ def entropy_weight_table(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     if n == 1:
         # A single plan carries no dispersion information.
         return np.tile(uniform, (4, 1)), ["single plan: entropy weights fall back to uniform"] * 4
+    # A column of n equal entries, all-zero ones included, has entropy exactly
+    # 1; computed, it comes out 1 plus or minus rounding noise. Every other
+    # column has a positive sum.
+    top = x.max(axis=0)
+    equal = x.min(axis=0) == top
     # A column's distribution is scale-free, and an exact power of two per
     # column keeps the sum of huge entries finite.
-    x = np.ldexp(x, -np.frexp(x.max(axis=0))[1])
-    col_sums = x.sum(axis=0)
-    p = x / np.where(col_sums > 0, col_sums, 1.0)
+    x = np.ldexp(x, -np.frexp(top)[1])
+    p = x / np.where(equal, 1.0, x.sum(axis=0))
     plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    entropy = np.where(col_sums > 0, -plogp.sum(axis=0) / np.log(n), 1.0)
+    entropy = np.where(equal, 1.0, -plogp.sum(axis=0) / np.log(n))
     # Rows of a contiguous (4, m) table sum in the order a lone (m,) vector does.
     eta = np.ascontiguousarray(np.clip(1.0 - entropy, 0.0, None).T)
     eta_sums = eta.sum(axis=1, keepdims=True)
-    flat = eta_sums <= 1e-15
+    flat = eta_sums == 0
     table = np.where(flat, uniform, eta / np.where(flat, 1.0, eta_sums))
     notes = ["all attribute columns are flat: entropy weights fall back to uniform"]
     return table, notes * int(flat.sum())

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from greyrank import DecisionProblem, fighter_problem_path, parse_problem, parse_problem_dict
+from greyrank import pipeline
 from greyrank.cli import main
 
 from oracles import exact_interval_rule
@@ -169,6 +170,45 @@ def test_borda_weights_flag(toy_file, capsysbinary):
     rc, out, err = run(capsysbinary, "solve", toy_file, "--borda-weights", "nan,0.5,0.25,0.25")
     assert rc == 2 and out == b""
     assert b"finite" in err
+
+
+def test_borda_weights_flag_that_is_not_a_number_exits_2(toy_file, capsysbinary):
+    rc, out, err = run(capsysbinary, "solve", toy_file, "--borda-weights", "a,b,c,d")
+    assert rc == 2 and out == b""
+    assert err == b"greyrank: error: --borda-weights: could not convert string to float: 'a'\n"
+
+
+def test_out_flag_naming_a_directory_exits_2(toy_file, tmp_path, capsysbinary):
+    rc, out, err = run(capsysbinary, "solve", toy_file, "--out", tmp_path)
+    assert rc == 2 and out == b""
+    assert err.startswith(f"greyrank: error: cannot write {tmp_path}: ".encode())
+    assert err.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("theta_plus", [1e-17, 5e-324])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_tiny_theta_plus_is_scored(tmp_path, capsysbinary, theta_plus, source):
+    # 1 - theta_plus rounds to 1.0, a theta_minus of exactly 1
+    data = fighter_document()
+    flags = ["--theta-plus", repr(theta_plus)] if source == "flag" else []
+    if source == "file":
+        data["params"] = {"theta_plus": theta_plus}
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path, "--format", "json-report", *flags)
+    assert rc == 0 and err == b""
+    params = json.loads(out)["params"]
+    assert params["theta_plus"] == theta_plus and params["theta_minus"] == 1.0
+
+
+def test_floating_point_error_in_a_stage_exits_3_located(monkeypatch, capsysbinary):
+    # the stages run under np.errstate(...="raise"): an overflow no check
+    # catches ends as a located exit 3, not as inf in the scores
+    monkeypatch.setattr(pipeline, "blend_preference", lambda x, q: np.full_like(x, 1e308) * 10)
+    rc, out, err = run(capsysbinary, "solve", fighter_problem_path())
+    assert rc == 3 and out == b""
+    assert err.startswith(b"greyrank: degenerate problem: stage evaluate: overflow")
+    assert err.count(b"\n") == 1
 
 
 def test_validation_errors_exit_2(tmp_path, capsysbinary):
@@ -490,6 +530,34 @@ def test_identical_plans_still_rank(tmp_path, capsysbinary):
     # full tie: strict final ranking falls back to plan order, with a note
     assert report["final_ranking"] == ["P1", "P2"]
     assert any("uniform" in note for note in report["notes"])
+
+
+def test_tied_90_plan_document_ranks(tmp_path, capsysbinary):
+    # 90 equal rows. Computed, the entropy of a flat column is 1 plus or minus
+    # rounding noise, which can leave no attribute with a positive lower
+    # objective weight where its subjective lower bound is positive (exit 3)
+    row = [{"ling": "low"}, {"uncertain": ["comparatively low", "general"]}, 7.592662767510114,
+           {"interval": [6.103219313335449, 6.202372581208384]},
+           {"interval": [4.190566081495563, 6.541399341310052]},
+           {"interval": [4.766956742787562, 7.5401862980241665]},
+           4.40783081472687, 3.105022723916263, 9.349460230500684]
+    kinds = ["linguistic", "uncertain-linguistic", "real"] + ["interval"] * 3 + ["real"] * 3
+    directions = ["cost"] + ["benefit"] * 5 + ["cost", "cost", "benefit"]
+    data = {
+        "schema": 1,
+        "plans": [f"P{i}" for i in range(90)],
+        "attributes": [{"id": f"A{j}", "kind": k, "direction": d}
+                       for j, (k, d) in enumerate(zip(kinds, directions))],
+        "matrix": [row] * 90,
+        "subjective_weights": {"intervals": [[0.1, 0.2]] * 9},
+        "preferences": [[0.1916430606064108, 0.36672387374833104, 0.45933744621831685,
+                         0.6512219706445778]] * 90,
+    }
+    path = tmp_path / "tied90.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path, "--format", "json-report")
+    assert rc == 0 and err == b""
+    assert json.loads(out)["final_ranking"] == data["plans"]
 
 
 def test_single_plan_gets_trivial_ranking(tmp_path, capsysbinary):

@@ -9,6 +9,7 @@ from greyrank import (
     DegenerateProblemError,
     ValidationError,
     load_fighter_problem,
+    parse_problem_dict,
     run_pipeline,
 )
 from greyrank._kernels import pairwise_deviation_sums
@@ -21,6 +22,7 @@ from greyrank.weights import (
 )
 
 from oracles import brute_deviation_coefficients, random_generalized_matrix
+from test_problem_io import fighter_document
 
 
 def test_subjective_envelope_hand_case():
@@ -104,6 +106,22 @@ def test_entropy_weight_table_fallbacks_are_notes():
             table, notes = entropy_weight_table(x)
         np.testing.assert_array_equal(table, np.full((4, 4), 0.25))
         assert len(notes) == 4 and all(reason in note for note in notes)
+
+
+@pytest.mark.parametrize("n", [3, 10, 30, 64, 1000])
+def test_identical_plans_get_exactly_uniform_entropy_weights(n):
+    # Fighter's first row n times: every column is flat. Computed, 1 - E of a
+    # flat column is rounding noise of either sign, which can give one
+    # attribute all the weight of a component.
+    doc = fighter_document()
+    doc["plans"] = [f"G{i}" for i in range(n)]
+    doc["matrix"] = [doc["matrix"][0]] * n
+    doc["preferences"] = [doc["preferences"][0]] * n
+    report = run_pipeline(parse_problem_dict(doc))
+    assert (report.weights.beta_ent == 1 / 9).all()
+    flat = "all attribute columns are flat: entropy weights fall back to uniform"
+    assert report.notes.count(flat) == 4
+    assert (report.result.borda_scores == report.result.borda_scores[0]).all()
 
 
 def test_entropy_weight_table_shape_and_sums():
