@@ -12,20 +12,18 @@ from .errors import ValidationError
 if TYPE_CHECKING:  # pragma: no cover
     from .evaluate import MethodScores
 
-__all__ = ["BordaConfig", "RankResult", "TIE_BREAKS", "scores_to_ranks", "weighted_borda"]
+__all__ = ["BordaConfig", "RankResult", "scores_to_ranks", "weighted_borda"]
 
 TIE_BREAKS = ("normalized-score-sum", "plan-index")
 
 
-def scores_to_ranks(scores) -> np.ndarray:
-    """Competition ranking, rank 1 for the largest score; ties share the smaller rank."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValidationError(f"expected a nonempty score vector, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValidationError("scores contain non-finite entries")
+def scores_to_ranks(scores: np.ndarray) -> np.ndarray:
+    """Competition ranking, rank 1 for the largest score; ties share the smaller rank.
+
+    Takes a method's finite (n,) score vector, unchecked.
+    """
     # 1 + the number of strictly larger scores, in O(n log n) time and O(n) memory
-    return 1 + s.size - np.searchsorted(np.sort(s), s, side="right")
+    return 1 + scores.size - np.searchsorted(np.sort(scores), scores, side="right")
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def _normalized_score_sums(per_method: Sequence["MethodScores"]) -> np.ndarray:
     n = len(per_method[0].scores)
     total = np.zeros(n)
     for ms in per_method:
-        s = np.asarray(ms.scores, dtype=np.float64)
+        s = ms.scores
         span = float(s.max() - s.min())
         if span > 0:
             total += (s - s.min()) / span
@@ -86,18 +84,14 @@ def weighted_borda(
     normalized method scores (flat methods contribute nothing), then plan
     index; or plan index alone. The final ranking is a strict 1..n order, with
     the Borda and tie-break scores reported so residual ties stay visible.
+
+    Takes the four method results ``score_all_methods`` returns, unchecked.
     """
     config = config or BordaConfig()
-    if len(per_method) != 4:
-        raise ValidationError(f"expected 4 method score sets, got {len(per_method)}")
     n = len(per_method[0].ranks)
-    for ms in per_method:
-        if len(ms.ranks) != n or len(ms.scores) != n:
-            raise ValidationError("method score/rank vectors have mismatched lengths")
-    weights = np.asarray(config.method_weights, dtype=np.float64)
     borda = np.zeros(n)
-    for w, ms in zip(weights, per_method):
-        borda += w * (n - np.asarray(ms.ranks, dtype=np.float64))
+    for w, ms in zip(config.method_weights, per_method):
+        borda += w * (n - ms.ranks)
     if config.tie_break == "normalized-score-sum":
         tiebreak = _normalized_score_sums(per_method)
     else:

@@ -24,7 +24,7 @@ from .pipeline import run_pipeline
 from .problem import DecisionProblem, _load_document, parse_problem_dict
 from .report import FORMATS, emit_report
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,8 @@ weights. One (n, m) grid of 4-D distances to each componentwise ideal feeds
 all four. TOPSIS scores closeness by the Euclidean norm of each plan's grid
 rows; the other three are built on grey incidence degrees, the mean Deng
 closeness coefficient of each plan against the positive and negative ideal
-vectors.
+vectors. Each function takes what parsing or the step before it produces and
+checks its shape, signs and order no more.
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ __all__ = [
     "apply_weights",
     "approach_with_preference",
     "blend_preference",
-    "comprehensive_incidence",
     "ideal_vectors",
     "incidence_coefficients",
-    "incidence_degrees",
-    "max_entropy_weights",
     "membership_degrees",
     "score_all_methods",
     "topsis_scores",
@@ -78,7 +76,6 @@ class MethodScores:
 
     @classmethod
     def from_scores(cls, method: str, scores: np.ndarray) -> "MethodScores":
-        scores = np.asarray(scores, dtype=np.float64)
         return cls(method=method, scores=scores, ranks=scores_to_ranks(scores))
 
 
@@ -88,15 +85,6 @@ class IdealVectors:
 
     positive: np.ndarray  # (m, 4)
     negative: np.ndarray  # (m, 4)
-
-
-def _check_matrix(y: np.ndarray, ndim: int = 3) -> np.ndarray:
-    """``y`` as a nonempty float array of shape (n, m, 4), or (n, m) if ``ndim`` is 2."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != ndim or y.shape[2:] not in ((), (4,)) or 0 in y.shape:
-        shape = "(n, m, 4)" if ndim == 3 else "(n, m)"
-        raise ValidationError(f"expected a nonempty {shape} array, got shape {y.shape}")
-    return y
 
 
 def blend_preference(x: np.ndarray, preferences: np.ndarray) -> np.ndarray:
@@ -109,17 +97,12 @@ def blend_preference(x: np.ndarray, preferences: np.ndarray) -> np.ndarray:
     float do not overflow. Halving is exact unless a value is below 2**-1021,
     so z is the correctly rounded mean except where q or x is that small;
     there it may be one unit in the last place away.
+
+    Takes the normalized matrix and the parsed preferences, unchecked.
     """
-    x = _check_matrix(x)
-    q = np.asarray(preferences, dtype=np.float64)
-    if q.shape != (x.shape[0], 4):
-        raise ValidationError(
-            f"expected preferences of shape ({x.shape[0]}, 4), got {q.shape}"
-        )
-    if (np.diff(q, axis=1) < 0).any():
-        raise ValidationError("preference tuples must be ascending 4-tuples")
     z = 0.5 * x
-    z += 0.5 * q[:, None, :]  # in place: a second (n, m, 4) temporary takes about 3x as long
+    # in place: a second (n, m, 4) temporary takes about 3x as long
+    z += 0.5 * preferences[:, None, :]
     return z
 
 
@@ -129,23 +112,21 @@ def apply_weights(z: np.ndarray, w_final: np.ndarray) -> np.ndarray:
 
     When a product could overflow, ``z`` is first scaled by the power of two
     that keeps every product finite; every score is invariant to that scale.
+
+    Takes the nonnegative blend and the ``final_weights`` rows, unchecked.
     """
-    z = _check_matrix(z)
-    if (z < 0).any():
-        raise ValidationError("weighted scaling requires a nonnegative matrix")
-    w = np.asarray(w_final, dtype=np.float64)
-    if w.shape != (z.shape[1], 2):
-        raise ValidationError(f"expected ({z.shape[1]}, 2) interval weights, got shape {w.shape}")
-    excess = np.frexp(z.max())[1] + np.frexp(w.max())[1] - 1023
+    excess = np.frexp(z.max())[1] + np.frexp(w_final.max())[1] - 1023
     if excess > 0:
         z = np.ldexp(z, -excess)
-    scale = w[:, [0, 0, 1, 1]]  # (m, 4)
+    scale = w_final[:, [0, 0, 1, 1]]  # (m, 4)
     return z * scale[None, :, :]
 
 
 def ideal_vectors(y: np.ndarray) -> IdealVectors:
-    """Componentwise column maxima (positive) and minima (negative)."""
-    y = _check_matrix(y)
+    """Componentwise column maxima (positive) and minima (negative).
+
+    Takes the weighted matrix ``apply_weights`` returns, unchecked.
+    """
     return IdealVectors(positive=y.max(axis=0), negative=y.min(axis=0))
 
 
@@ -156,7 +137,6 @@ def topsis_scores(dplus: np.ndarray, dminus: np.ndarray) -> MethodScores:
     When the two ideals coincide (all plans identical) every plan scores 0.5
     by convention, a full tie.
     """
-    dplus, dminus = _check_matrix(dplus, 2), _check_matrix(dminus, 2)
     dpos, dneg = (np.sqrt((d * d).sum(axis=1)) for d in (dplus, dminus))
     total = dpos + dneg
     scores = np.where(total > 0, dneg / np.where(total > 0, total, 1.0), 0.5)
@@ -169,9 +149,6 @@ def incidence_coefficients(d: np.ndarray, rho: float = 0.5) -> np.ndarray:
     r = (d_min + rho * d_max) / (d + rho * d_max), with d_min and d_max taken
     over the full plan-by-attribute grid. All distances zero yields all ones.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
-    d = _check_matrix(d, 2)
     d_max = float(d.max())
     if d_max <= 0:
         return np.ones_like(d)
@@ -184,7 +161,7 @@ def incidence_coefficients(d: np.ndarray, rho: float = 0.5) -> np.ndarray:
 
 def incidence_degrees(coefficients: np.ndarray) -> np.ndarray:
     """Row mean of incidence coefficients: one closeness degree per plan."""
-    return _check_matrix(coefficients, 2).mean(axis=1)
+    return coefficients.mean(axis=1)
 
 
 def _scaled_pairs(
@@ -196,8 +173,6 @@ def _scaled_pairs(
     the larger degree of each pair in [0.5, 1), so tiny degrees neither
     underflow in products nor square to zero. An all-zero pair is named.
     """
-    gplus = np.asarray(gplus, dtype=np.float64)
-    gminus = np.asarray(gminus, dtype=np.float64)
     peak = np.maximum(gplus, gminus)
     if (peak <= 0).any():
         raise DegenerateProblemError(
@@ -218,7 +193,7 @@ def approach_with_preference(
     """
     params = params or MethodParams()
     if params.theta_minus == 0.0:
-        return MethodScores.from_scores("grey-approach", np.array(gplus, dtype=np.float64))
+        return MethodScores.from_scores("grey-approach", gplus.copy())
     gplus, gminus = _scaled_pairs(gplus, gminus, "grey approach degree")
     num = gplus * params.theta_plus
     den = num + gminus * params.theta_minus
@@ -245,8 +220,6 @@ def max_entropy_weights(gplus: np.ndarray, gminus: np.ndarray) -> tuple[float, f
     under b1 + b2 = 1 gives the softmax of (sum G+, sum (1 - G-)), computed in
     overflow-safe form.
     """
-    gplus = np.asarray(gplus, dtype=np.float64)
-    gminus = np.asarray(gminus, dtype=np.float64)
     c1 = float(gplus.sum())
     c2 = float((1.0 - gminus).sum())
     t = c2 - c1
@@ -262,10 +235,6 @@ def comprehensive_incidence(
 ) -> MethodScores:
     """Convex mix of closeness to the positive ideal and distance from the negative:
     C'' = b1 * G+ + b2 * (1 - G-)."""
-    if abs(beta1 + beta2 - 1.0) > 1e-9 or beta1 < 0 or beta2 < 0:
-        raise ValidationError(f"weights must be convex: beta1={beta1}, beta2={beta2}")
-    gplus = np.asarray(gplus, dtype=np.float64)
-    gminus = np.asarray(gminus, dtype=np.float64)
     scores = beta1 * gplus + beta2 * (1.0 - gminus)
     return MethodScores.from_scores("max-entropy", scores)
 
@@ -278,11 +247,10 @@ def score_all_methods(
     Returns the four MethodScores, in fixed order (topsis, grey-approach,
     membership, max-entropy), plus the shared intermediates: the incidence
     degrees against both ideals and the entropy-derived pair weights.
+
+    Takes the weighted matrix and its ``ideal_vectors``, unchecked.
     """
     params = params or MethodParams()
-    y = _check_matrix(y)
-    if ideals.positive.shape != y.shape[1:] or ideals.negative.shape != y.shape[1:]:
-        raise ValidationError(f"expected ideal vectors of shape {y.shape[1:]}")
     # Every method is invariant to the scale of y. An exact power of two
     # keeps the squared distances of huge entries finite.
     e = -np.frexp(np.abs(y).max())[1]

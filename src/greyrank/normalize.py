@@ -22,9 +22,10 @@ All columns go through one pass of array operations, one rule each, with no
 loop over columns. When several columns are bad, the error names the first
 of them in column order, with the first check that column fails: a value the
 rule cannot take (exit 2), a zero column sum (exit 3), or a result that is
-not finite. From finite bounds that is an upper bound past the largest float
-(exit 3): lower bounds are at most 1, and the term rule's values are bounded.
-Bounds that are not finite, which parsing never gives, exit 2.
+not finite (exit 3). Parsing gives finite bounds, from which only an upper
+bound can overflow: lower bounds are at most 1, and the term rule's values
+are bounded. An error about one cell carries its plan's index as ``row``;
+the pipeline names the plan.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import DegenerateProblemError, ValidationError
 from .values import term_to_triangle
 
-__all__ = ["AttributeSpec", "KINDS", "DIRECTIONS", "normalize_matrix"]
+__all__ = ["AttributeSpec", "normalize_matrix"]
 
 KINDS = ("real", "interval", "linguistic", "uncertain-linguistic")
 DIRECTIONS = ("benefit", "cost")
@@ -74,16 +75,9 @@ def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndar
     can produce genuine inversions (a degenerate range next to wide ones),
     which the sort repairs as well. An upper bound too large for a float is
     degenerate, and is reported with its attribute and row.
+
+    Takes the bounds and attributes of a problem ``parse_problem_dict`` made, unchecked.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 3 or raw.shape[1:] != (len(specs), 2):
-        raise ValidationError(
-            f"expected a bounds array of shape (n, {len(specs)}, 2), got {raw.shape}"
-        )
-    if raw.shape[0] == 0:
-        raise ValidationError("decision matrix has no plans")
-    if len(specs) == 0:
-        raise ValidationError("decision matrix has no attributes")
     m, n = len(specs), raw.shape[0]
     # (m, n) views; a masked selection of their rows is a contiguous copy, so each
     # column sums in the pairwise order of a lone 1-D column.
@@ -142,15 +136,11 @@ def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndar
             problem = f"cost column requires strictly positive values, got {lo[j, i]}"
         else:
             problem = f"negative value {lo[j, i]} in a benefit column is not supported"
-        raise ValidationError(f"attribute {spec.id!r}, row {i}: {problem}")
+        raise ValidationError(f"attribute {spec.id!r}: {problem}", row=i)
     if zero[j]:
         what = f"{spec.kind} column midpoints sum" if terms[j] else "benefit column sums"
         raise DegenerateProblemError(f"attribute {spec.id!r}: {what} to zero")
-    i = int(np.argmin(np.isfinite(x[:, j]).all(axis=1)))
-    if np.isfinite(raw[:, j]).all():  # finite bounds can overflow only an upper bound
-        raise DegenerateProblemError(
-            f"attribute {spec.id!r}, row {i}: normalized upper bound exceeds the largest float"
-        )
-    raise ValidationError(
-        f"attribute {spec.id!r}, row {i}: normalized value {x[i, j].tolist()} is not finite"
+    raise DegenerateProblemError(
+        f"attribute {spec.id!r}: normalized upper bound exceeds the largest float",
+        row=int(np.argmin(np.isfinite(x[:, j]).all(axis=1))),
     )

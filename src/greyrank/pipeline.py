@@ -57,13 +57,16 @@ class Report:
 def run_pipeline(problem: DecisionProblem) -> Report:
     """Run the full chain on a validated problem.
 
-    The stages run under ``np.errstate(...="raise")``, so a floating-point
+    Takes a problem that ``parse_problem`` or ``parse_problem_dict`` made; no
+    stage checks again what parsing or the stage before it guarantees. The
+    stages run under ``np.errstate(...="raise")``, so a floating-point
     overflow, invalid operation or division by zero that no stage catches
     exits as a :class:`~greyrank.errors.DegenerateProblemError` naming its
-    stage, never as a silent inf or NaN.
+    stage, never as a silent inf or NaN. An error about one plan's cell
+    names that plan.
     """
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        with located("stage normalize"):
+        with located("stage normalize", problem.plans):
             x = normalize_matrix(problem.raw, problem.attributes)
 
         with located("stage weights"):

@@ -107,13 +107,16 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _require_utf8(text: str, where: str) -> None:
-    """Reports are UTF-8, which cannot encode a string with a lone surrogate."""
+def _require_utf8(text: str, where: str, *args) -> None:
+    """Reports are UTF-8, which cannot encode a string with a lone surrogate.
+
+    The error names ``where % args``, formatted only when it is raised.
+    """
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise ValidationError(
-            f"{where}: {text!r} has a lone surrogate, which UTF-8 cannot encode"
+            f"{where % args}: {text!r} has a lone surrogate, which UTF-8 cannot encode"
         ) from None
 
 
@@ -293,12 +296,10 @@ def _parse_aliases(data) -> tuple[dict[str, str], dict[str, int]]:
     data = {} if data is None else data
     _require(isinstance(data, dict), "linguistic_aliases must be an object")
     for key, value in data.items():
-        _require(
-            isinstance(key, str) and isinstance(value, str),
-            f"linguistic_aliases entry {key!r}: both sides must be strings",
-        )
+        if not (isinstance(key, str) and isinstance(value, str)):
+            raise ValidationError(f"linguistic_aliases entry {key!r}: both sides must be strings")
         _require_utf8(key, "linguistic_aliases key")
-        _require_utf8(value, f"linguistic_aliases entry {key!r}: target")
+        _require_utf8(value, "linguistic_aliases entry %r: target", key)
     return {fold_label(key): value for key, value in data.items()}, term_indices(data)
 
 
@@ -320,15 +321,14 @@ def _parse_experts(vectors: list, ids: list[str]) -> np.ndarray:
 
 def _parse_expert(vec, i: int, ids: list[str]) -> list[float]:
     """Expert ``i``'s vector: one finite, nonnegative weight per attribute."""
-    _require(
-        isinstance(vec, list) and len(vec) == len(ids),
-        f"expert vector {i} must list {len(ids)} weights",
-    )
+    if not (isinstance(vec, list) and len(vec) == len(ids)):
+        raise ValidationError(f"expert vector {i} must list {len(ids)} weights")
     row = []
     for attr_id, value in zip(ids, vec):
         with located(f"expert {i}, attribute {attr_id!r}"):
             w = _as_number(value)
-            _require(math.isfinite(w) and w >= 0, f"weight must be finite and nonnegative, got {w}")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValidationError(f"weight must be finite and nonnegative, got {w}")
         row.append(w)
     return row
 
@@ -348,10 +348,8 @@ def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | No
         return subjective_interval_weights(experts), experts
     if keys == {"intervals"}:
         intervals = data["intervals"]
-        _require(
-            isinstance(intervals, list) and len(intervals) == m,
-            f"subjective_weights.intervals must list {m} [lo, hi] pairs",
-        )
+        if not (isinstance(intervals, list) and len(intervals) == m):
+            raise ValidationError(f"subjective_weights.intervals must list {m} [lo, hi] pairs")
         rows = []
         for attr_id, pair in zip(ids, intervals):
             # the messages are formatted only on failure: a pair's repr costs
@@ -373,7 +371,8 @@ def _parse_params(params) -> tuple[MethodParams, BordaConfig]:
     params = {} if params is None else params
     _require(isinstance(params, dict), "params must be an object")
     unknown = set(params) - _PARAM_KEYS
-    _require(not unknown, f"unknown params keys: {sorted(unknown)}")
+    if unknown:
+        raise ValidationError(f"unknown params keys: {sorted(unknown)}")
     with located("params.rho"):
         rho = _as_number(params.get("rho", 0.5))
     with located("params.theta_plus"):
@@ -388,24 +387,25 @@ def _parse_params(params) -> tuple[MethodParams, BordaConfig]:
         "params.borda_weights must list 4 method weights",
     )
     tie_break = params.get("tie_break", "normalized-score-sum")
-    # a weight that is not a number reads "params: params.borda_weights: ..."
+    with located("params.borda_weights"):
+        method_weights = tuple(map(_as_number, weights))
     with located("params"):
-        with located("params.borda_weights"):
-            method_weights = tuple(map(_as_number, weights))
         borda = BordaConfig(method_weights=method_weights, tie_break=tie_break)
     return mp, borda
 
 
 def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     """Validate a problem document and build a :class:`DecisionProblem`."""
-    _require(isinstance(data, dict), f"{source}: problem document must be a JSON object")
+    if not isinstance(data, dict):
+        raise ValidationError(f"{source}: problem document must be a JSON object")
     unknown = set(data) - _TOP_LEVEL_KEYS
-    _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
+    if unknown:
+        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
     schema = data.get("schema")
-    _require(
-        schema == SCHEMA_VERSION,
-        f"missing or unsupported schema version {schema!r}; expected {SCHEMA_VERSION}",
-    )
+    if schema != SCHEMA_VERSION:
+        raise ValidationError(
+            f"missing or unsupported schema version {schema!r}; expected {SCHEMA_VERSION}"
+        )
 
     plans = data.get("plans")
     _require(
@@ -417,7 +417,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
         "".join(plans).encode("utf-8")
     except UnicodeEncodeError:  # find and name the plan
         for i, plan in enumerate(plans):
-            _require_utf8(plan, f"plan {i}")
+            _require_utf8(plan, "plan %d", i)
 
     raw_attrs = data.get("attributes")
     _require(
@@ -426,16 +426,14 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     )
     attributes = []
     for j, entry in enumerate(raw_attrs):
-        _require(
-            isinstance(entry, dict) and {"id", "kind", "direction"} <= set(entry),
-            f"attribute {j} must carry id, kind, and direction",
-        )
+        if not (isinstance(entry, dict) and {"id", "kind", "direction"} <= set(entry)):
+            raise ValidationError(f"attribute {j} must carry id, kind, and direction")
         extra = set(entry) - {"id", "kind", "direction"}
-        _require(not extra, f"attribute {j}: unknown keys {sorted(extra)}")
-        _require(
-            isinstance(entry["id"], str), f"attribute {j}: id must be a string, got {entry['id']!r}"
-        )
-        _require_utf8(entry["id"], f"attribute {j}: id")
+        if extra:
+            raise ValidationError(f"attribute {j}: unknown keys {sorted(extra)}")
+        if not isinstance(entry["id"], str):
+            raise ValidationError(f"attribute {j}: id must be a string, got {entry['id']!r}")
+        _require_utf8(entry["id"], "attribute %d: id", j)
         attributes.append(AttributeSpec(entry["id"], entry["kind"], entry["direction"]))
     ids = [a.id for a in attributes]
     _require(len(set(ids)) == len(ids), "attribute ids must be unique")
@@ -444,10 +442,8 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
 
     n, m = len(plans), len(attributes)
     matrix = data.get("matrix")
-    _require(
-        isinstance(matrix, list) and len(matrix) == n,
-        f"matrix must have one row per plan ({n} rows)",
-    )
+    if not (isinstance(matrix, list) and len(matrix) == n):
+        raise ValidationError(f"matrix must have one row per plan ({n} rows)")
     # cells in rows above a malformed row are checked, and located, first
     short = next((i for i, row in enumerate(matrix)
                   if not (isinstance(row, list) and len(row) == m)), n)
@@ -461,10 +457,8 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     _require((subjective[:, 0] > 0).any(), "subjective_weights: every lower bound is zero")
 
     prefs_raw = data.get("preferences")
-    _require(
-        isinstance(prefs_raw, list) and len(prefs_raw) == n,
-        f"preferences must list one 4-tuple per plan ({n} entries)",
-    )
+    if not (isinstance(prefs_raw, list) and len(prefs_raw) == n):
+        raise ValidationError(f"preferences must list one 4-tuple per plan ({n} entries)")
     prefs = _parse_preferences(prefs_raw, plans)
 
     params, borda = _parse_params(data.get("params"))

@@ -32,7 +32,7 @@ from .pipeline import Report
 from .problem import DecisionProblem
 from .values import term_indices
 
-__all__ = ["FORMATS", "emit_report", "render_text", "render_csv", "render_json"]
+__all__ = ["FORMATS", "emit_report", "render_json"]
 
 FORMATS = ("text", "csv", "json-report")
 

@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from .errors import ValidationError, located
 
-__all__ = [
-    "DEFAULT_ALIASES",
-    "canonical_labels",
-    "fold_label",
-    "term_index",
-    "term_indices",
-    "term_to_triangle",
-]
+__all__ = ["fold_label", "term_index", "term_indices", "term_to_triangle"]
 
 # 11-step linguistic scale, index -5 (worst) .. +5 (best), each term carrying
 # a fixed triangular fuzzy number on [0, 1].

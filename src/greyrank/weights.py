@@ -9,7 +9,8 @@ proportion to its total pairwise plan deviation) and four entropy weights
 interval weight, and the final weight is the normalized interval product of
 subjective and objective. :class:`WeightBundle` holds the derived weights, not
 ``problem.subjective``. Both objective weightings return ``(weights, notes)``:
-a weighting without signal falls back to uniform, with a note.
+a weighting without signal falls back to uniform, with a note. Each function
+takes what parsing or the step before it produces and checks its shape no more.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from ._kernels import pairwise_deviation_sums
 from .errors import DegenerateProblemError, ValidationError
-from .evaluate import _check_matrix
 
 __all__ = [
     "WeightBundle",
@@ -38,11 +38,8 @@ def _weight_name(j: int, ids: Sequence[str] | None) -> str:
     return f"interval weight {j}" if ids is None else f"interval weight of attribute {ids[j]!r}"
 
 
-def _interval_rows(w, ids: Sequence[str] | None = None) -> np.ndarray:
-    """``w`` as an (m, 2) float array of (lo, hi) rows, each finite with 0 <= lo <= hi."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != 2:
-        raise ValidationError(f"expected (m, 2) interval weights, m >= 1, got shape {w.shape}")
+def _interval_rows(w: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
+    """``w``, (m, 2) (lo, hi) rows, checked to be finite with 0 <= lo <= hi."""
     ok = np.isfinite(w).all(axis=1) & (0.0 <= w[:, 0]) & (w[:, 0] <= w[:, 1])
     if not ok.all():
         j = int(np.argmin(ok))
@@ -52,22 +49,23 @@ def _interval_rows(w, ids: Sequence[str] | None = None) -> np.ndarray:
     return w
 
 
-def subjective_interval_weights(expert_vectors) -> np.ndarray:
-    """Coordinatewise [min, max] envelope over the expert weight vectors, (m, 2)."""
-    v = np.asarray(expert_vectors, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-        raise ValidationError(
-            f"expected a nonempty L x m array of expert weights, got shape {v.shape}"
-        )
-    return _interval_rows(np.column_stack((v.min(axis=0), v.max(axis=0))))
+def subjective_interval_weights(expert_vectors: np.ndarray) -> np.ndarray:
+    """Coordinatewise [min, max] envelope over the expert weight vectors, (m, 2).
+
+    Takes the (k, m) expert vectors ``parse_problem_dict`` reads, unchecked.
+    """
+    envelope = expert_vectors.min(axis=0), expert_vectors.max(axis=0)
+    return _interval_rows(np.column_stack(envelope))
 
 
 def optimization_weights(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Deviation-maximizing weights renormalized to sum to one, and notes;
-    uniform, with one note, when all plans are identical."""
+    uniform, with one note, when all plans are identical.
+
+    Takes the (n, m, 4) matrix ``normalize_matrix`` returns, unchecked.
+    """
     # The weights are a ratio of totals, so an exact power of two cancels; it
     # keeps the squared distances of huge entries finite.
-    x = _check_matrix(x)
     totals = pairwise_deviation_sums(np.ldexp(x, -np.frexp(np.abs(x).max())[1]))
     total = float(totals.sum())
     if total <= 0:
@@ -85,11 +83,10 @@ def entropy_weight_table(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     attributes are weighted by one minus their normalized Shannon entropy, so
     flat and all-zero columns get zero weight. A component whose columns are
     all weightless, and each component of a single plan, is uniform with a note.
+
+    Takes the (n, m, 4) matrix ``normalize_matrix`` returns, unchecked.
     """
-    x = _check_matrix(x)
     n, m, _ = x.shape
-    if (x < 0).any():
-        raise ValidationError("entropy weights require nonnegative values")
     uniform = np.full(m, 1.0 / m)
     if n == 1:
         # A single plan carries no dispersion information.
@@ -119,14 +116,9 @@ def comprehensive_objective(
 ) -> np.ndarray:
     """Envelope [min, max] over the five objective weight candidates, (m, 2).
 
-    Errors name attribute ``ids[j]`` when ``ids`` are given, else index j.
+    Takes the two objective weightings of one matrix. Errors name attribute
+    ``ids[j]`` when ``ids`` are given, else index j.
     """
-    beta_opt = np.asarray(beta_opt, dtype=np.float64)
-    beta_ent = np.asarray(beta_ent, dtype=np.float64)
-    if beta_ent.shape != (4, beta_opt.shape[0]):
-        raise ValidationError(
-            f"shape mismatch: beta_opt {beta_opt.shape}, beta_ent {beta_ent.shape}"
-        )
     cand = np.vstack([beta_opt[None, :], beta_ent])
     return _interval_rows(np.column_stack((cand.min(axis=0), cand.max(axis=0))), ids)
 
@@ -139,10 +131,10 @@ def final_weights(alpha, beta, ids: Sequence[str] | None = None) -> np.ndarray:
     instantiation of the inputs lands inside the output intervals. An upper
     bound too large for a float is degenerate. Errors name attribute
     ``ids[j]`` when ``ids`` are given, else index j.
+
+    Takes ``problem.subjective`` and the ``comprehensive_objective`` envelope.
     """
     alpha, beta = _interval_rows(alpha, ids), _interval_rows(beta, ids)
-    if alpha.shape != beta.shape:
-        raise ValidationError(f"length mismatch: {len(alpha)} alphas, {len(beta)} betas")
     # Scaling a column of alpha by a power of two scales each quotient it
     # enters by that power, exactly unless it underflows; the powers are
     # undone at the end. One power per column, not one for all of alpha, keeps

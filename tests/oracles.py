@@ -188,14 +188,14 @@ def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> 
     if cost and (lo <= 0).any():
         bad = int(np.argmax(lo <= 0))
         raise ValidationError(
-            f"attribute {spec.id!r}, row {bad}: cost column requires strictly "
-            f"positive values, got {lo[bad]}"
+            f"attribute {spec.id!r}: cost column requires strictly "
+            f"positive values, got {lo[bad]}", row=bad
         )
     if not cost and (lo < 0).any():
         bad = int(np.argmax(lo < 0))
         raise ValidationError(
-            f"attribute {spec.id!r}, row {bad}: negative value {lo[bad]} in a "
-            f"benefit column is not supported"
+            f"attribute {spec.id!r}: negative value {lo[bad]} in a "
+            f"benefit column is not supported", row=bad
         )
     # The rule is scale-free: each bound is a mantissa and an exponent, v = f * 2^e,
     # and the cost reciprocal 1/v is (1/f) * 2^-e. Each bound sums scaled by its
@@ -220,8 +220,8 @@ def _normalize_terms(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> np.
     if not on_scale.all():
         bad = int(np.argmin(on_scale))
         raise ValidationError(
-            f"attribute {spec.id!r}, row {bad}: ({lo[bad]}, {hi[bad]}) is not a pair "
-            f"of term indices in -5..5 for kind {spec.kind!r}"
+            f"attribute {spec.id!r}: ({lo[bad]}, {hi[bad]}) is not a pair "
+            f"of term indices in -5..5 for kind {spec.kind!r}", row=bad
         )
     if spec.direction == "cost":
         # Mirroring reverses order, so the bounds swap roles. Mirroring the
@@ -248,6 +248,7 @@ def loop_normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np
     uncertain columns can produce genuine inversions (a degenerate range next
     to wide ones), which the sort repairs as well. An upper bound too large
     for a float is degenerate, and is reported with its attribute and row.
+    An error about one cell carries its row as ``row``.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[1:] != (len(specs), 2):
@@ -267,15 +268,9 @@ def loop_normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np
             col = _normalize_terms(lo, hi, spec)
         col = np.sort(col, axis=1)
         if not np.isfinite(col).all():
-            bad = int(np.argmin(np.isfinite(col).all(axis=1)))
-            if np.isfinite(raw[:, j]).all():
-                raise DegenerateProblemError(
-                    f"attribute {spec.id!r}, row {bad}: normalized upper bound exceeds "
-                    "the largest float"
-                )
-            raise ValidationError(
-                f"attribute {spec.id!r}, row {bad}: normalized value "
-                f"{col[bad].tolist()} is not finite"
+            raise DegenerateProblemError(
+                f"attribute {spec.id!r}: normalized upper bound exceeds the largest float",
+                row=int(np.argmin(np.isfinite(col).all(axis=1))),
             )
         out[:, j] = col
     return out

@@ -18,15 +18,15 @@ def _methods(*score_vectors):
 
 
 def test_competition_ranks_hand_cases():
-    np.testing.assert_array_equal(scores_to_ranks([0.9, 0.5, 0.7]), [1, 3, 2])
-    np.testing.assert_array_equal(scores_to_ranks([0.5, 0.5, 0.1]), [1, 1, 3])
-    np.testing.assert_array_equal(scores_to_ranks([0.2]), [1])
+    np.testing.assert_array_equal(scores_to_ranks(np.array([0.9, 0.5, 0.7])), [1, 3, 2])
+    np.testing.assert_array_equal(scores_to_ranks(np.array([0.5, 0.5, 0.1])), [1, 1, 3])
+    np.testing.assert_array_equal(scores_to_ranks(np.array([0.2])), [1])
 
 
 @settings(max_examples=80)
 @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), min_size=1, max_size=12))
 def test_competition_ranks_match_loop_oracle(scores):
-    np.testing.assert_array_equal(scores_to_ranks(scores), loop_competition_ranks(scores))
+    np.testing.assert_array_equal(scores_to_ranks(np.array(scores)), loop_competition_ranks(scores))
 
 
 def test_borda_config_validation():
@@ -40,12 +40,6 @@ def test_borda_config_validation():
             BordaConfig(method_weights=(bad, 0.5, 0.25, 0.25))
     with pytest.raises(ValidationError):
         BordaConfig(tie_break="coin-flip")
-
-
-def test_weighted_borda_requires_four_methods():
-    methods = _methods([0.9, 0.1], [0.9, 0.1], [0.9, 0.1])
-    with pytest.raises(ValidationError):
-        weighted_borda(methods, BordaConfig())
 
 
 def test_unanimous_methods_preserve_order():

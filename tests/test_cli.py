@@ -172,6 +172,28 @@ def test_borda_weights_flag(toy_file, capsysbinary):
     assert b"finite" in err
 
 
+@pytest.mark.parametrize("weight, problem", [
+    ("a", "expected a number, got 'a'"),
+    (10**400, "non-finite number, integer too large for a float"),
+], ids=["string", "huge-integer"])
+def test_borda_weight_that_is_not_a_number_names_its_place_once(tmp_path, capsysbinary,
+                                                                weight, problem):
+    data = fighter_document()
+    data["params"]["borda_weights"] = [0.25, weight, 0.25, 0.25]
+    path = tmp_path / "borda.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 2 and out == b""
+    assert err == f"greyrank: error: params.borda_weights: {problem}\n".encode()
+
+
+@pytest.mark.parametrize("rho", ["0", "1"])
+def test_rho_outside_the_open_interval_exits_2(toy_file, capsysbinary, rho):
+    rc, out, err = run(capsysbinary, "solve", toy_file, "--rho", rho)
+    assert rc == 2 and out == b""
+    assert err == f"greyrank: error: params: rho must lie in (0, 1), got {float(rho)}\n".encode()
+
+
 def test_borda_weights_flag_that_is_not_a_number_exits_2(toy_file, capsysbinary):
     rc, out, err = run(capsysbinary, "solve", toy_file, "--borda-weights", "a,b,c,d")
     assert rc == 2 and out == b""
@@ -264,8 +286,24 @@ def test_non_finite_normalized_value_is_located(tmp_path, capsysbinary):
     path.write_text(json.dumps(data), encoding="utf-8")
     rc, out, err = run(capsysbinary, "solve", path)
     assert rc == 3 and out == b""
-    assert err == (b"greyrank: degenerate problem: stage normalize: attribute 'A4', row 2: "
+    assert err == (b"greyrank: degenerate problem: stage normalize: plan 'G3', attribute 'A4': "
                    b"normalized upper bound exceeds the largest float\n")
+
+
+@pytest.mark.parametrize("i, j, value, problem", [
+    (1, 0, 0, "attribute 'A1': cost column requires strictly positive values, got 0.0"),
+    (3, 1, -1, "attribute 'A2': negative value -1.0 in a benefit column is not supported"),
+], ids=["zero-cost", "negative-benefit"])
+def test_value_normalize_cannot_take_names_the_plan(tmp_path, capsysbinary, i, j, value,
+                                                    problem):
+    data = fighter_document()
+    data["matrix"][i][j] = value
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 2 and out == b""
+    plan = data["plans"][i]
+    assert err == f"greyrank: error: stage normalize: plan {plan!r}, {problem}\n".encode()
 
 
 def _with_surrogate(field: str) -> dict:
@@ -436,6 +474,17 @@ def test_negative_preference_is_located(tmp_path, capsysbinary):
     assert rc == 2 and out == b""
     assert b"preference for plan 'G4':" in err
     assert b"nonnegative" in err
+
+
+def test_descending_preference_is_located(tmp_path, capsysbinary):
+    data = fighter_document()
+    data["preferences"][2] = [0.4, 0.2, 0.3, 0.5]
+    path = tmp_path / "descending.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path)
+    assert rc == 2 and out == b""
+    assert err == (b"greyrank: error: preference for plan 'G3': "
+                   b"4-tuple components not ascending: [0.4, 0.2, 0.3, 0.5]\n")
 
 
 def test_huge_subjective_weights_keep_lower_bounds(tmp_path, capsysbinary):

@@ -131,6 +131,18 @@ def test_plan_that_is_not_a_string_is_refused(plans):
         parse_problem_dict(toy(plans=plans))
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"plans": [], "matrix": [], "preferences": []}, "plans must be a nonempty list of names"),
+    ({"attributes": []}, "attributes must be a nonempty list"),
+    ({"subjective_weights": {"experts": []}},
+     "subjective_weights.experts must be a nonempty list of weight vectors"),
+], ids=["plans", "attributes", "experts"])
+def test_empty_lists_are_refused(changes, message):
+    with pytest.raises(ValidationError) as err:
+        parse_problem_dict(toy(**changes))
+    assert str(err.value) == message
+
+
 def test_plan_of_a_str_subclass_is_accepted():
     class Name(str):
         pass

@@ -2,10 +2,14 @@
 
 ``perfbench/child.py`` lists them in ``TRACED``; a refactor that drops or
 renames one would break ``python3 perfbench/run.py --trace 1``. The file is
-read and executed here without writing anything next to it.
+read and executed here without writing anything next to it. The package's
+public names are the ones the README lists.
 """
 
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +18,7 @@ import greyrank
 from greyrank import cli, fighter_problem_path, parse_problem
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _child_namespace() -> dict:
@@ -76,3 +81,16 @@ def test_text_and_csv_solves_never_load_orjson(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_public_names_are_the_readme_list_and_resolve():
+    text = README.read_text(encoding="utf-8")
+    listed = text.split("`greyrank` exports exactly these 19 names:\n\n")[1].split("\n\n")[0]
+    names = {re.match(r"\w+", quoted).group() for quoted in re.findall(r"`([^`]+)`", listed)}
+    assert len(names) == 19
+    assert sorted(greyrank.__all__) == sorted(names)
+    modules = [greyrank] + [importlib.import_module(f"greyrank.{info.name}")
+                            for info in pkgutil.iter_modules(greyrank.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

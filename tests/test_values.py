@@ -112,8 +112,9 @@ def test_term_index_out_of_range():
     with pytest.raises(ValidationError):
         term_to_triangle(6)
     for bad in ([[6, 6]], [[-6, -6]], [[0, 2.5]], [[0, math.nan]]):
-        with pytest.raises(ValidationError, match="row 0"):
+        with pytest.raises(ValidationError, match="not a pair of term indices") as err:
             term_column(bad, "uncertain-linguistic")
+        assert err.value.row == 0
 
 
 def test_lift_real():
