@@ -92,24 +92,31 @@ def _distinct_tuples(x: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray,
 
     Returns the (r,) mask of those f columns, their distinct tuples padded to
     the largest such count k, shape (k, f, 4), and the count of each, (k, f).
-    A padding slot repeats its column's first tuple with count zero. One
-    lexsort along the rows of every column at once finds the distinct tuples.
+    A padding slot repeats its column's first tuple with count zero. A column
+    with more than ``limit`` distinct values of component 0 has more distinct
+    tuples too, so one sort of component 0 rules it out. One lexsort along the
+    rows of every column left finds their distinct tuples.
     """
-    n = x.shape[0]
-    order = np.lexsort(x.T[::-1], axis=-1)  # (r, n), component 0 the primary key
+    n, r = x.shape[:2]
+    v = np.sort(x[:, :, 0], axis=0)
+    candidates = np.flatnonzero((v[1:] != v[:-1]).sum(axis=0) < limit)
+    x = x[:, candidates]
+    order = np.lexsort(x.T[::-1], axis=-1)  # a row order per column, component 0 first
     t = np.take_along_axis(x.transpose(1, 0, 2), order[:, :, None], axis=1)
     # A group of equal tuples starts at a column's first sorted row or where a
     # tuple differs from the one before it.
     new = np.ones(order.shape, dtype=bool)
     new[:, 1:] = (t[:, 1:] != t[:, :-1]).any(axis=2)
     distinct = new.sum(axis=1)
-    few = distinct <= limit
-    t, new = t[few], new[few]
-    f, k = len(t), int(distinct[few].max(initial=0))
+    kept = distinct <= limit
+    t, new = t[kept], new[kept]
+    f, k = len(t), int(distinct[kept].max(initial=0))
     slot = np.cumsum(new, axis=1) - 1 + k * np.arange(f)[:, None]  # flat (f, k) index
     u = np.repeat(t[:, :1], k, axis=1).reshape(f * k, 4)
     u[slot[new]] = t[new]
     c = np.bincount(slot.ravel(), minlength=f * k).astype(float)
+    few = np.zeros(r, dtype=bool)
+    few[candidates[kept]] = True
     return few, u.reshape(f, k, 4).transpose(1, 0, 2), c.reshape(f, k).T
 
 

@@ -91,7 +91,7 @@ def _apply_overrides(problem: DecisionProblem, args: argparse.Namespace) -> Deci
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        data = _load_document(Path(args.file))
+        data = _load_document(Path(args.file), use_orjson=args.format == "json-report")
         if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
             # A json-report was produced by us; solve its embedded problem.
             data = data["problem"]

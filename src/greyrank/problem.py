@@ -486,8 +486,24 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     )
 
 
-def _load_document(path: Path):
-    """Read a JSON file; unreadable files and invalid JSON raise ValidationError."""
+def _load_document(path: Path, use_orjson: bool = False):
+    """Read a JSON file; unreadable files and invalid JSON raise ValidationError.
+
+    ``use_orjson`` is for json-report solves, which load orjson to write the
+    report anyway; it decodes faster than ``json.loads``. What it rejects
+    (``NaN`` and ``Infinity`` literals, numbers beyond the float range, lone
+    surrogates, a BOM, bytes that are not UTF-8, invalid JSON, unreadable
+    files) is read again below, so every error is that of ``json.loads``.
+    Both give equal values, but orjson reads an integer literal outside the
+    64-bit range as a float, so a message that quotes one spells a float.
+    """
+    if use_orjson:
+        import orjson
+
+        try:
+            return orjson.loads(path.read_bytes())
+        except (OSError, orjson.JSONDecodeError):
+            pass
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import sys
 import warnings
@@ -12,6 +14,7 @@ import pytest
 from greyrank import DecisionProblem, fighter_problem_path, parse_problem, parse_problem_dict
 from greyrank import pipeline
 from greyrank.cli import main
+from greyrank.report import render_json
 
 from oracles import exact_interval_rule
 from test_problem_io import MINIMAL, fighter_document
@@ -421,22 +424,33 @@ def test_tiny_cost_column_is_normalized(tmp_path, capsysbinary):
     assert scaled["final_ranking"] == plain["final_ranking"]
 
 
-@pytest.mark.parametrize("j, column", [
-    (0, [5e-324, 1, 1, 1, 1]),
-    (0, [1e300, 1e-300, 1, 1, 1]),
-    (0, [1e-310, 3610, 1, 1, 1.7e308]),
-    (3, [[4830, 4910], [1e-300, 1e300], [4600, 4720], [4660, 4770], [4770, 4850]]),
-    (1, [0, 1e-310, 1e-310, 1e-310, 1e-310]),
-    (2, [[0, 1e-310], [0, 0], [5e-324, 1e-310], [1e-310, 2e-310], [0, 5e-324]]),
-], ids=["subnormal", "1e300-and-1e-300", "1e-310-to-1.7e308", "wide-interval",
-        "benefit-zero-and-subnormals", "benefit-interval-zeros"])
+# Fighter column j replaced by a column of reals or intervals at the float edges.
+FLOAT_EDGE_COLUMNS = {
+    "subnormal": (0, [5e-324, 1, 1, 1, 1]),
+    "1e300-and-1e-300": (0, [1e300, 1e-300, 1, 1, 1]),
+    "1e-310-to-1.7e308": (0, [1e-310, 3610, 1, 1, 1.7e308]),
+    "wide-interval": (3, [[4830, 4910], [1e-300, 1e300], [4600, 4720], [4660, 4770],
+                          [4770, 4850]]),
+    "benefit-zero-and-subnormals": (1, [0, 1e-310, 1e-310, 1e-310, 1e-310]),
+    "benefit-interval-zeros": (2, [[0, 1e-310], [0, 0], [5e-324, 1e-310], [1e-310, 2e-310],
+                                   [0, 5e-324]]),
+}
+
+
+def fighter_with_column(j: int, column: list) -> dict:
+    data = fighter_document()
+    for row, cell in zip(data["matrix"], column):
+        row[j] = {"interval": cell} if isinstance(cell, list) else cell
+    return data
+
+
+@pytest.mark.parametrize("j, column", list(FLOAT_EDGE_COLUMNS.values()),
+                         ids=list(FLOAT_EDGE_COLUMNS))
 def test_interval_column_at_the_float_edges_is_exact(tmp_path, capsysbinary, j, column):
     # every exact normalized value fits in a double; each normal one must match
     # the exact rule, even where a reciprocal of a bound alone would overflow
     # or a column's zeros sit next to subnormal values
-    data = fighter_document()
-    for row, cell in zip(data["matrix"], column):
-        row[j] = {"interval": cell} if isinstance(cell, list) else cell
+    data = fighter_with_column(j, column)
     lo, hi = np.array(column, dtype=float).reshape(5, -1)[:, [0, -1]].T  # a real is [v, v]
     got = np.array(solve_json(capsysbinary, tmp_path, data)["normalized"])[:, j]
     direction = data["attributes"][j]["direction"]
@@ -581,10 +595,8 @@ def test_identical_plans_still_rank(tmp_path, capsysbinary):
     assert any("uniform" in note for note in report["notes"])
 
 
-def test_tied_90_plan_document_ranks(tmp_path, capsysbinary):
-    # 90 equal rows. Computed, the entropy of a flat column is 1 plus or minus
-    # rounding noise, which can leave no attribute with a positive lower
-    # objective weight where its subjective lower bound is positive (exit 3)
+def tied_90_plan_document() -> dict:
+    """90 equal rows of nine attributes of all four kinds."""
     row = [{"ling": "low"}, {"uncertain": ["comparatively low", "general"]}, 7.592662767510114,
            {"interval": [6.103219313335449, 6.202372581208384]},
            {"interval": [4.190566081495563, 6.541399341310052]},
@@ -592,7 +604,7 @@ def test_tied_90_plan_document_ranks(tmp_path, capsysbinary):
            4.40783081472687, 3.105022723916263, 9.349460230500684]
     kinds = ["linguistic", "uncertain-linguistic", "real"] + ["interval"] * 3 + ["real"] * 3
     directions = ["cost"] + ["benefit"] * 5 + ["cost", "cost", "benefit"]
-    data = {
+    return {
         "schema": 1,
         "plans": [f"P{i}" for i in range(90)],
         "attributes": [{"id": f"A{j}", "kind": k, "direction": d}
@@ -602,6 +614,13 @@ def test_tied_90_plan_document_ranks(tmp_path, capsysbinary):
         "preferences": [[0.1916430606064108, 0.36672387374833104, 0.45933744621831685,
                          0.6512219706445778]] * 90,
     }
+
+
+def test_tied_90_plan_document_ranks(tmp_path, capsysbinary):
+    # Computed, the entropy of a flat column is 1 plus or minus rounding
+    # noise, which can leave no attribute with a positive lower objective
+    # weight where its subjective lower bound is positive (exit 3)
+    data = tied_90_plan_document()
     path = tmp_path / "tied90.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     rc, out, err = run(capsysbinary, "solve", path, "--format", "json-report")
@@ -629,3 +648,100 @@ def test_missing_subcommand_is_usage_error(capsysbinary):
     assert exc.value.code == 2
     captured = capsysbinary.readouterr()
     assert b"usage" in captured.err.lower()
+
+
+def solve_bytes(path: Path, fmt: str, out: Path) -> tuple[int, str, bytes | None]:
+    """Exit code, stderr and report bytes of one solve of ``path`` to ``out``."""
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main(["solve", str(path), "--format", fmt, "--out", str(out)])
+    return rc, stderr.getvalue(), out.read_bytes() if rc == 0 else None
+
+
+def assert_decoding_ignores_format(path: Path, out: Path) -> None:
+    """A json-report solve, which decodes with orjson, exits and fails as a
+    text solve, which decodes with json.loads, does. On success it writes the
+    report of the problem that json.loads reads."""
+    rc, err, report = solve_bytes(path, "json-report", out)
+    assert (rc, err) == solve_bytes(path, "text", out)[:2]
+    if rc == 0:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        problem = parse_problem_dict(data, source=str(path))
+        assert report == render_json(pipeline.run_pipeline(problem))
+
+
+def _fighter_bytes_with(literal: str) -> bytes:
+    """Fighter with ``literal`` written verbatim as the first cell of A1."""
+    data = fighter_document()
+    data["matrix"][0][0] = "@"
+    return json.dumps(data).replace('"@"', literal).encode()
+
+
+def _decoding_edge_files() -> dict:
+    fighter = json.dumps(fighter_document()).encode()
+    files = {"fighter": fighter, "missing": None}
+    literals = {"nan": "NaN", "infinity": "Infinity", "minus-infinity": "-Infinity",
+                "1e400": "1e400", "400-digit-integer": "9" * 400, "2**64-1": str(2**64 - 1)}
+    for name, literal in literals.items():
+        files[name] = _fighter_bytes_with(literal)
+    files["lone-surrogate-plan"] = json.dumps(_with_surrogate("plan")).encode()
+    files["latin-1"] = json.dumps(fighter_document()).replace("G1", "G\xe9").encode("latin-1")
+    files["bom"] = b"\xef\xbb\xbf" + fighter
+    files["truncated"] = fighter[:-7]
+    files["duplicate-key"] = fighter[:-1] + b', "schema": 2}'
+    for name, (j, column) in FLOAT_EDGE_COLUMNS.items():
+        files[name] = json.dumps(fighter_with_column(j, column)).encode()
+    huge_preference = fighter_document()
+    huge_preference["preferences"][3] = [0, 0.1, 0.2, 1.7e308]
+    files["huge-preference"] = json.dumps(huge_preference).encode()
+    overflow = fighter_document()
+    overflow["subjective_weights"] = {"intervals": [[0.1, 0.2]] * 8 + [[1e-300, 1.7e308]]}
+    files["overflowing-weight"] = json.dumps(overflow).encode()
+    tiny_rho = fighter_document()
+    tiny_rho["params"]["rho"] = 5e-324
+    files["tiny-rho"] = json.dumps(tiny_rho).encode()
+    return files
+
+
+DECODING_EDGE_FILES = _decoding_edge_files()
+
+
+@pytest.mark.parametrize("name", list(DECODING_EDGE_FILES))
+def test_decoding_does_not_depend_on_the_format(tmp_path, name):
+    # what orjson rejects falls through to json.loads, whose errors are the
+    # ones every format reports
+    path = tmp_path / "problem.json"
+    if DECODING_EDGE_FILES[name] is not None:
+        path.write_bytes(DECODING_EDGE_FILES[name])
+    assert_decoding_ignores_format(path, tmp_path / "report")
+
+
+def test_json_report_solves_decode_with_orjson(tmp_path, monkeypatch):
+    # a fall-through to json.loads on every solve would look correct and
+    # only be slow
+    tied = tmp_path / "tied90.json"
+    tied.write_text(json.dumps(tied_90_plan_document()), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a json-report solve called json.loads")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    for path in (fighter_problem_path(), tied):
+        assert main(["solve", str(path), "--format", "json-report",
+                     "--out", str(tmp_path / "report")]) == 0
+
+
+def test_integer_beyond_64_bits_is_quoted_as_a_float_by_json_report_solves(
+        tmp_path, capsysbinary):
+    # orjson reads an integer literal outside the 64-bit range that a float
+    # can hold as that float, json.loads as an int; only the quote differs
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(dict(fighter_document(), schema=2**64)), encoding="utf-8")
+    message = "greyrank: error: missing or unsupported schema version {}; expected 1\n"
+    for fmt, spelling in [("text", "18446744073709551616"),
+                          ("csv", "18446744073709551616"),
+                          ("json-report", "1.8446744073709552e+19")]:
+        rc, out, err = run(capsysbinary, "solve", path, "--format", fmt)
+        assert rc == 2 and out == b""
+        assert err == message.format(spelling).encode()

@@ -21,6 +21,7 @@ from greyrank.cli import main
 from greyrank.report import FORMATS
 from greyrank.values import DEFAULT_ALIASES, canonical_labels
 
+from test_cli import assert_decoding_ignores_format
 from test_problem_io import fighter_document
 
 FIGHTER = fighter_document()
@@ -217,3 +218,13 @@ def test_mutated_fighter_solves_or_fails_located(tmp_path_factory, doc, fmt):
     assert rc in (2, 3), (rc, err)
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert LOCATION.search(err.split(": ", 2)[-1]), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_fighters())
+def test_mutated_fighter_decodes_alike_in_every_format(tmp_path_factory, doc):
+    # json.dumps writes NaN, Infinity and 10**400 as literals orjson rejects
+    folder = tmp_path_factory.getbasetemp()
+    path = folder / "decode.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_decoding_ignores_format(path, folder / "decode.out")

@@ -78,14 +78,22 @@ def test_pairwise_deviation_paths_agree():
     n = 136
     paired_but_one = pooled_column(rng, n, n, "paired")
     paired_but_one[7, 3] += 1e-3
+    # n/8 distinct values of component 0, as the lexsort's prefilter allows,
+    # but n/8 + 1 tuples: two of the pool's tuples share their component 0
+    shared_lead = pooled_column(rng, n, n // 8 + 1)
+    first_two = (shared_lead[:, None] == shared_lead[:2]).all(axis=2).any(axis=1)
+    shared_lead[first_two, 0] = shared_lead[:2, 0].min()  # still ascending
+    assert len(np.unique(shared_lead[:, 0])) == n // 8
+    assert len(np.unique(shared_lead, axis=0)) == n // 8 + 1
     rules = np.stack([
         pooled_column(rng, n, n // 8),
         pooled_column(rng, n, n // 8 + 1),
+        shared_lead,
         pooled_column(rng, n, n, "paired"),
         paired_but_one,
         pooled_column(rng, n, n),
     ], axis=1)
-    assert _distinct_tuples(rules, n // 8)[0].tolist() == [True, False, False, False, False]
+    assert _distinct_tuples(rules, n // 8)[0].tolist() == [True] + [False] * 5
     # both term kinds, at most 5 and 15 distinct tuples, are counted
     terms = normalized_kinds(rng, n, terms=2)[:, 4:]
     assert _distinct_tuples(terms, n // 8)[0].all()
