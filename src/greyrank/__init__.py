@@ -6,21 +6,21 @@ representation and normalized by attribute direction, weighted by combined
 subjective/objective interval grey weights, scored by four grey-relational
 methods, and fused into one final ranking with a weighted Borda count.
 
-The package namespace holds the entry points, the errors, and the types a
-caller builds or reads off a :class:`Report`. The per-step helpers stay
-importable from their modules (``greyrank.normalize``, ``greyrank.weights``,
-``greyrank.evaluate``, ``greyrank.aggregate``, ``greyrank.report``).
+The package namespace holds the entry points, the errors, the types a caller
+builds, and :class:`Report`, one flat record of named arrays. The per-step
+helpers stay importable from their modules (``greyrank.normalize``,
+``greyrank.weights``, ``greyrank.evaluate``, ``greyrank.aggregate``,
+``greyrank.report``).
 """
 
-from .aggregate import BordaConfig, RankResult
+from .aggregate import BordaConfig
 from .datasets import fighter_problem_path, load_fighter_problem
 from .errors import DegenerateProblemError, GreyrankError, ValidationError
-from .evaluate import IdealVectors, MethodParams, MethodScores
+from .evaluate import MethodParams
 from .normalize import AttributeSpec
 from .pipeline import Report, run_pipeline
 from .problem import DecisionProblem, parse_problem, parse_problem_dict
 from .report import emit_report
-from .weights import WeightBundle
 
 __version__ = "0.1.0"
 
@@ -30,13 +30,9 @@ __all__ = [
     "DecisionProblem",
     "DegenerateProblemError",
     "GreyrankError",
-    "IdealVectors",
     "MethodParams",
-    "MethodScores",
-    "RankResult",
     "Report",
     "ValidationError",
-    "WeightBundle",
     "__version__",
     "emit_report",
     "fighter_problem_path",

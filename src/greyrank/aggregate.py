@@ -3,16 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .evaluate import MethodScores
-
-__all__ = ["BordaConfig", "RankResult", "scores_to_ranks", "weighted_borda"]
+__all__ = ["BordaConfig", "scores_to_ranks", "weighted_borda"]
 
 TIE_BREAKS = ("normalized-score-sum", "plan-index")
 
@@ -49,55 +45,32 @@ class BordaConfig:
             )
 
 
-@dataclass
-class RankResult:
-    """Final ranking with the Borda and tie-break scores behind it."""
-
-    final_ranks: np.ndarray
-    borda_scores: np.ndarray
-    tiebreak_scores: np.ndarray
-
-    @property
-    def order(self) -> np.ndarray:
-        """Plan indices, best first."""
-        return np.argsort(self.final_ranks, kind="stable")
-
-
-def _normalized_score_sums(per_method: Sequence["MethodScores"]) -> np.ndarray:
-    n = len(per_method[0].scores)
-    total = np.zeros(n)
-    for ms in per_method:
-        s = ms.scores
-        span = float(s.max() - s.min())
-        if span > 0:
-            total += (s - s.min()) / span
-    return total
-
-
 def weighted_borda(
-    per_method: Sequence["MethodScores"], config: BordaConfig | None = None
-) -> RankResult:
-    """Fuse four method rankings by weighted Borda points.
+    scores: np.ndarray, config: BordaConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rank each method's scores and fuse the four rankings by weighted Borda points.
 
     Each plan collects ``weight * (n - rank)`` from every method. Ties on
     Borda points are broken by the configured rule: the sum of min-max
     normalized method scores (flat methods contribute nothing), then plan
     index; or plan index alone. The final ranking is a strict 1..n order, with
-    the Borda and tie-break scores reported so residual ties stay visible.
+    the Borda and tie-break scores returned so residual ties stay visible.
 
-    Takes the four method results ``score_all_methods`` returns, unchecked.
+    Takes the (4, n) scores ``score_all_methods`` returns, unchecked, and
+    returns ``(ranks, final_ranks, borda, tiebreak)``: the (4, n) per-method
+    competition ranks, then three (n,) arrays.
     """
     config = config or BordaConfig()
-    n = len(per_method[0].ranks)
-    borda = np.zeros(n)
-    for w, ms in zip(config.method_weights, per_method):
-        borda += w * (n - ms.ranks)
-    if config.tie_break == "normalized-score-sum":
-        tiebreak = _normalized_score_sums(per_method)
-    else:
-        tiebreak = np.zeros(n)
+    n = scores.shape[1]
+    ranks = np.array([scores_to_ranks(s) for s in scores])
+    borda, tiebreak = np.zeros(n), np.zeros(n)
+    for w, s, r in zip(config.method_weights, scores, ranks):
+        borda += w * (n - r)
+        span = float(s.max() - s.min())
+        if config.tie_break == "normalized-score-sum" and span > 0:
+            tiebreak += (s - s.min()) / span
     # lexsort reads its keys last to first: Borda points, tie-break, plan index
     order = np.lexsort((np.arange(n), -tiebreak, -borda))
     final_ranks = np.empty(n, dtype=np.int64)
     final_ranks[order] = np.arange(1, n + 1)
-    return RankResult(final_ranks=final_ranks, borda_scores=borda, tiebreak_scores=tiebreak)
+    return ranks, final_ranks, borda, tiebreak

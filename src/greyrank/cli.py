@@ -7,8 +7,8 @@
                                 [--borda-weights w1,w2,w3,w4]
                                 [--out PATH]
 
-Exit codes: 0 on success, 2 for validation problems (bad file, bad cell,
-bad flag value), 3 when the problem is degenerate (well-formed input on
+Exit codes: 0 on success, 2 for validation problems (bad file, a document
+nested too deeply to read, bad cell, bad flag value), 3 when the problem is degenerate (well-formed input on
 which the method itself breaks down).
 """
 
@@ -105,6 +105,11 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateProblemError as exc:
         print(f"greyrank: degenerate problem: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # greyrank has no recursion of its own: only decoding a deeply nested
+        # document, or quoting a deeply nested value in a message, gets here
+        print(f"greyrank: error: {args.file}: the document is nested too deeply", file=sys.stderr)
+        return 2
 
     if args.out:
         try:

@@ -6,7 +6,9 @@ weights. One (n, m) grid of 4-D distances to each componentwise ideal feeds
 all four. TOPSIS scores closeness by the Euclidean norm of each plan's grid
 rows; the other three are built on grey incidence degrees, the mean Deng
 closeness coefficient of each plan against the positive and negative ideal
-vectors. Each function takes what parsing or the step before it produces and
+vectors. Each method returns its (n,) score array; ``score_all_methods``
+stacks the four into one (4, n) array, one row per method in ``METHODS``
+order. Each function takes what parsing or the step before it produces and
 checks its shape, signs and order no more.
 """
 
@@ -18,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import distance_grid
-from .aggregate import scores_to_ranks
 from .errors import DegenerateProblemError, ValidationError
 
 __all__ = [
-    "IdealVectors",
+    "METHODS",
     "MethodParams",
-    "MethodScores",
     "apply_weights",
     "approach_with_preference",
     "blend_preference",
@@ -34,6 +34,10 @@ __all__ = [
     "score_all_methods",
     "topsis_scores",
 ]
+
+# The methods in the order of the rows of every (4, n) score and rank array.
+METHODS = ("topsis", "grey-approach", "membership", "max-entropy")
+
 
 @dataclass(frozen=True)
 class MethodParams:
@@ -64,27 +68,6 @@ class MethodParams:
                 f"preference coefficients must sum to 1, got "
                 f"{self.theta_plus} + {self.theta_minus}"
             )
-
-
-@dataclass
-class MethodScores:
-    """One method's score vector and the ranking it induces."""
-
-    method: str
-    scores: np.ndarray
-    ranks: np.ndarray
-
-    @classmethod
-    def from_scores(cls, method: str, scores: np.ndarray) -> "MethodScores":
-        return cls(method=method, scores=scores, ranks=scores_to_ranks(scores))
-
-
-@dataclass
-class IdealVectors:
-    """Componentwise best and worst rows of the weighted matrix, per attribute."""
-
-    positive: np.ndarray  # (m, 4)
-    negative: np.ndarray  # (m, 4)
 
 
 def blend_preference(x: np.ndarray, preferences: np.ndarray) -> np.ndarray:
@@ -122,15 +105,15 @@ def apply_weights(z: np.ndarray, w_final: np.ndarray) -> np.ndarray:
     return z * scale[None, :, :]
 
 
-def ideal_vectors(y: np.ndarray) -> IdealVectors:
-    """Componentwise column maxima (positive) and minima (negative).
+def ideal_vectors(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise column maxima (positive) and minima (negative), each (m, 4).
 
     Takes the weighted matrix ``apply_weights`` returns, unchecked.
     """
-    return IdealVectors(positive=y.max(axis=0), negative=y.min(axis=0))
+    return y.max(axis=0), y.min(axis=0)
 
 
-def topsis_scores(dplus: np.ndarray, dminus: np.ndarray) -> MethodScores:
+def topsis_scores(dplus: np.ndarray, dminus: np.ndarray) -> np.ndarray:
     """Relative closeness D- / (D+ + D-), where D is the norm of a plan's row of
     the (n, m) distance grid to the positive or negative ideal.
 
@@ -139,8 +122,7 @@ def topsis_scores(dplus: np.ndarray, dminus: np.ndarray) -> MethodScores:
     """
     dpos, dneg = (np.sqrt((d * d).sum(axis=1)) for d in (dplus, dminus))
     total = dpos + dneg
-    scores = np.where(total > 0, dneg / np.where(total > 0, total, 1.0), 0.5)
-    return MethodScores.from_scores("topsis", scores)
+    return np.where(total > 0, dneg / np.where(total > 0, total, 1.0), 0.5)
 
 
 def incidence_coefficients(d: np.ndarray, rho: float = 0.5) -> np.ndarray:
@@ -185,7 +167,7 @@ def _scaled_pairs(
 
 def approach_with_preference(
     gplus: np.ndarray, gminus: np.ndarray, params: MethodParams | None = None
-) -> MethodScores:
+) -> np.ndarray:
     """Grey approach degree with preference bias between the two ideals.
 
     C' = G+ * theta_plus / (G+ * theta_plus + G- * theta_minus); the boundary
@@ -193,24 +175,22 @@ def approach_with_preference(
     """
     params = params or MethodParams()
     if params.theta_minus == 0.0:
-        return MethodScores.from_scores("grey-approach", gplus.copy())
+        return gplus.copy()
     gplus, gminus = _scaled_pairs(gplus, gminus, "grey approach degree")
     num = gplus * params.theta_plus
     den = num + gminus * params.theta_minus
     # a zero numerator scores 0, also when a tiny theta_minus leaves den = 0
-    scores = np.divide(num, den, out=np.zeros_like(num), where=num > 0)
-    return MethodScores.from_scores("grey-approach", scores)
+    return np.divide(num, den, out=np.zeros_like(num), where=num > 0)
 
 
-def membership_degrees(gplus: np.ndarray, gminus: np.ndarray) -> MethodScores:
+def membership_degrees(gplus: np.ndarray, gminus: np.ndarray) -> np.ndarray:
     """Relative membership in the positive ideal: G+^2 / (G+^2 + G-^2).
 
     This is the exact minimizer of the squared-residual objective that scores
     u against G+ and (1 - u) against G-.
     """
     gplus, gminus = _scaled_pairs(gplus, gminus, "membership degree")
-    denom = gplus**2 + gminus**2
-    return MethodScores.from_scores("membership", gplus**2 / denom)
+    return gplus**2 / (gplus**2 + gminus**2)
 
 
 def max_entropy_weights(gplus: np.ndarray, gminus: np.ndarray) -> tuple[float, float]:
@@ -232,21 +212,21 @@ def max_entropy_weights(gplus: np.ndarray, gminus: np.ndarray) -> tuple[float, f
 
 def comprehensive_incidence(
     gplus: np.ndarray, gminus: np.ndarray, beta1: float, beta2: float
-) -> MethodScores:
+) -> np.ndarray:
     """Convex mix of closeness to the positive ideal and distance from the negative:
     C'' = b1 * G+ + b2 * (1 - G-)."""
-    scores = beta1 * gplus + beta2 * (1.0 - gminus)
-    return MethodScores.from_scores("max-entropy", scores)
+    return beta1 * gplus + beta2 * (1.0 - gminus)
 
 
 def score_all_methods(
-    y: np.ndarray, ideals: IdealVectors, params: MethodParams | None = None
-) -> tuple[list[MethodScores], dict]:
+    y: np.ndarray, positive: np.ndarray, negative: np.ndarray,
+    params: MethodParams | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Run all four scoring methods on the weighted matrix.
 
-    Returns the four MethodScores, in fixed order (topsis, grey-approach,
-    membership, max-entropy), plus the shared intermediates: the incidence
-    degrees against both ideals and the entropy-derived pair weights.
+    Returns ``(scores, gplus, gminus, beta1, beta2)``: the (4, n) scores, one
+    row per method in ``METHODS`` order, and the shared intermediates, the
+    incidence degrees against both ideals and the entropy-derived pair weights.
 
     Takes the weighted matrix and its ``ideal_vectors``, unchecked.
     """
@@ -255,14 +235,16 @@ def score_all_methods(
     # keeps the squared distances of huge entries finite.
     e = -np.frexp(np.abs(y).max())[1]
     y = np.ldexp(y, e)
-    dplus = distance_grid(y, np.ldexp(ideals.positive, e))
-    dminus = distance_grid(y, np.ldexp(ideals.negative, e))
+    dplus = distance_grid(y, np.ldexp(positive, e))
+    dminus = distance_grid(y, np.ldexp(negative, e))
     topsis = topsis_scores(dplus, dminus)
     gplus = incidence_degrees(incidence_coefficients(dplus, params.rho))
     gminus = incidence_degrees(incidence_coefficients(dminus, params.rho))
-    approach = approach_with_preference(gplus, gminus, params)
-    membership = membership_degrees(gplus, gminus)
     b1, b2 = max_entropy_weights(gplus, gminus)
-    comprehensive = comprehensive_incidence(gplus, gminus, b1, b2)
-    extras = {"gplus": gplus, "gminus": gminus, "beta1": b1, "beta2": b2}
-    return [topsis, approach, membership, comprehensive], extras
+    scores = np.array([
+        topsis,
+        approach_with_preference(gplus, gminus, params),
+        membership_degrees(gplus, gminus),
+        comprehensive_incidence(gplus, gminus, b1, b2),
+    ])
+    return scores, gplus, gminus, b1, b2

@@ -2,8 +2,9 @@
 
 ``run_pipeline`` drives a validated :class:`~greyrank.problem.DecisionProblem`
 through the full chain and returns a :class:`Report`: the problem itself plus
-every table computed from it, so renderers and tests can inspect each stage.
-This module only computes; :mod:`greyrank.report` owns the output formats.
+every array computed from it, one named field each, so renderers and tests
+can inspect each stage. This module only computes; :mod:`greyrank.report`
+owns the output formats.
 """
 
 from __future__ import annotations
@@ -12,20 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import RankResult, weighted_borda
+from .aggregate import weighted_borda
 from .errors import located
-from .evaluate import (
-    IdealVectors,
-    MethodScores,
-    apply_weights,
-    blend_preference,
-    ideal_vectors,
-    score_all_methods,
-)
+from .evaluate import apply_weights, blend_preference, ideal_vectors, score_all_methods
 from .normalize import normalize_matrix
 from .problem import DecisionProblem
 from .weights import (
-    WeightBundle,
     comprehensive_objective,
     entropy_weight_table,
     final_weights,
@@ -37,21 +30,35 @@ __all__ = ["Report", "run_pipeline"]
 
 @dataclass
 class Report:
-    """The problem ``run_pipeline`` solved and every table it computed, in order."""
+    """The problem ``run_pipeline`` solved and every array it computed, in order.
+
+    ``scores`` and ``ranks`` hold one row per method, in
+    :data:`~greyrank.evaluate.METHODS` order.
+    """
 
     problem: DecisionProblem
     normalized: np.ndarray  # (n, m, 4)
-    weights: WeightBundle
+    beta_opt: np.ndarray  # (m,)
+    beta_ent: np.ndarray  # (4, m)
+    beta_interval: np.ndarray  # (m, 2) (lo, hi) rows
+    w_final: np.ndarray  # (m, 2) (lo, hi) rows
     weighted: np.ndarray  # (n, m, 4)
-    ideals: IdealVectors
-    methods: list[MethodScores]
-    incidence: dict  # gplus, gminus, beta1, beta2
-    result: RankResult
+    positive: np.ndarray  # (m, 4)
+    negative: np.ndarray  # (m, 4)
+    scores: np.ndarray  # (4, n)
+    gplus: np.ndarray  # (n,)
+    gminus: np.ndarray  # (n,)
+    beta1: float
+    beta2: float
+    ranks: np.ndarray  # (4, n)
+    borda: np.ndarray  # (n,)
+    tiebreak: np.ndarray  # (n,)
+    final_ranks: np.ndarray  # (n,), a strict 1..n order
     notes: list[str]
 
     @property
     def final_order(self) -> list[str]:
-        return [self.problem.plans[i] for i in self.result.order]
+        return [self.problem.plans[i] for i in np.argsort(self.final_ranks, kind="stable")]
 
 
 def run_pipeline(problem: DecisionProblem) -> Report:
@@ -76,30 +83,21 @@ def run_pipeline(problem: DecisionProblem) -> Report:
             ids = [a.id for a in problem.attributes]
             beta_interval = comprehensive_objective(beta_opt, beta_ent, ids)
             w_final = final_weights(problem.subjective, beta_interval, ids)
-            bundle = WeightBundle(
-                beta_opt=beta_opt,
-                beta_ent=beta_ent,
-                beta_interval=beta_interval,
-                w_final=w_final,
-            )
 
         with located("stage evaluate"):
             z = blend_preference(x, problem.preferences)
             y = apply_weights(z, w_final)
-            ideals = ideal_vectors(y)
-            methods, incidence = score_all_methods(y, ideals, problem.params)
+            positive, negative = ideal_vectors(y)
+            scores, gplus, gminus, beta1, beta2 = score_all_methods(
+                y, positive, negative, problem.params
+            )
 
         with located("stage aggregate"):
-            result = weighted_borda(methods, problem.borda)
+            ranks, final_ranks, borda, tiebreak = weighted_borda(scores, problem.borda)
 
     return Report(
-        problem=problem,
-        normalized=x,
-        weights=bundle,
-        weighted=y,
-        ideals=ideals,
-        methods=methods,
-        incidence=incidence,
-        result=result,
-        notes=notes,
+        problem=problem, normalized=x, notes=notes, beta_opt=beta_opt, beta_ent=beta_ent,
+        beta_interval=beta_interval, w_final=w_final, weighted=y, positive=positive,
+        negative=negative, scores=scores, gplus=gplus, gminus=gminus, beta1=beta1,
+        beta2=beta2, ranks=ranks, borda=borda, tiebreak=tiebreak, final_ranks=final_ranks,
     )

@@ -12,7 +12,8 @@ as its arguments. ``_plan_table`` lays out the plan tables. CSV writes every
 section, header, rows and blank line, through one ``section``, one
 ``csv.writer`` row per line, its floats formatted a column at a time by
 ``_fmt``; ``_keyed_rows`` puts key columns before a table of floats. Both
-read the per-plan columns from one ``_plan_columns`` array.
+read the per-plan columns from one ``_plan_columns`` array, and name the
+methods, one per row of ``report.scores`` and ``report.ranks``, by ``METHODS``.
 orjson writes the json-report from the report's arrays, each float in the
 shortest form that reads back to the same value. In its problem echo, every
 cell of one term, or of one pair of terms, is one shared dict;
@@ -28,6 +29,7 @@ import io
 import numpy as np
 
 from .errors import DegenerateProblemError, ValidationError
+from .evaluate import METHODS
 from .pipeline import Report
 from .problem import DecisionProblem
 from .values import term_indices
@@ -50,10 +52,7 @@ def _rows(template: str, *columns) -> map:
 def _plan_columns(report: Report) -> np.ndarray:
     """The per-plan columns, one row each: the four method scores, then gplus,
     gminus, borda and tiebreak."""
-    return np.array([ms.scores for ms in report.methods] + [
-        report.incidence["gplus"], report.incidence["gminus"],
-        report.result.borda_scores, report.result.tiebreak_scores,
-    ])
+    return np.vstack([report.scores, report.gplus, report.gminus, report.borda, report.tiebreak])
 
 
 def _ranking_line(plans: list[str], ranks: np.ndarray) -> str:
@@ -112,31 +111,30 @@ def render_text(report: Report) -> str:
     # The header is not aligned with the rows; these bytes are fixed by the goldens.
     out("interval weights (subjective x objective):")
     out(f"  {'attribute':<12} {'alpha':>19} {'beta':>19} {'final':>19}")
-    weights = report.weights
     lines += _rows("  %-12s [%.4f, %.4f]  [%.4f, %.4f]  [%.4f, %.4f]",
                    [a.id for a in problem.attributes],
-                   *np.column_stack([problem.subjective, weights.beta_interval,
-                                     weights.w_final]).T.tolist())
+                   *np.column_stack([problem.subjective, report.beta_interval,
+                                     report.w_final]).T.tolist())
     out("")
 
     *scores, gplus, gminus, borda, tiebreak = _plan_columns(report).tolist()
     out("method scores (rows are plans):")
-    lines += _plan_table(plans, [ms.method for ms in report.methods], 16, [".6f"] * 4, scores)
+    lines += _plan_table(plans, list(METHODS), 16, [".6f"] * 4, scores)
     out("")
 
-    beta1, beta2 = _fmt([report.incidence["beta1"], report.incidence["beta2"]])
+    beta1, beta2 = _fmt([report.beta1, report.beta2])
     out("incidence degrees against the ideals:")
     lines += _plan_table(plans, ["positive", "negative"], 16, [".6f"] * 2, [gplus, gminus])
     out(f"  max-entropy pair weights: beta1 = {beta1}, beta2 = {beta2}")
     out("")
 
-    for ms in report.methods:
-        out(f"ranking ({ms.method}): " + _ranking_line(plans, ms.ranks))
+    for method, ranks in zip(METHODS, report.ranks):
+        out(f"ranking ({method}): " + _ranking_line(plans, ranks))
     out("")
 
     out("weighted borda:")
     lines += _plan_table(plans, ["borda", "tiebreak", "final rank"], 12, [".6f", ".6f", "d"],
-                         [borda, tiebreak, report.result.final_ranks.tolist()])
+                         [borda, tiebreak, report.final_ranks.tolist()])
     out("")
     out("final ranking: " + " > ".join(report.final_order))
     out("")
@@ -177,25 +175,24 @@ def render_csv(report: Report) -> str:
             [[a.id, a.kind, a.direction] for a in attrs])
     section("normalized", ["plan", "attribute", "x1", "x2", "x3", "x4"], _keyed_rows(
         [[p for p in plans for _ in attrs], ids * len(plans)], report.normalized))
-    w = report.weights
     section("weights", ["attribute", "alpha_lo", "alpha_hi", "beta_opt",
                         "beta_ent_1", "beta_ent_2", "beta_ent_3", "beta_ent_4",
                         "beta_lo", "beta_hi", "w_lo", "w_hi"],
             _keyed_rows([ids], np.column_stack(
-                [problem.subjective, w.beta_opt, w.beta_ent.T, w.beta_interval, w.w_final])))
+                [problem.subjective, report.beta_opt, report.beta_ent.T, report.beta_interval,
+                 report.w_final])))
     section("ideal_vectors", ["attribute", "bound", "y1", "y2", "y3", "y4"], _keyed_rows(
         [[a for a in ids for _ in range(2)], ["positive", "negative"] * len(ids)],
-        np.stack([report.ideals.positive, report.ideals.negative], axis=1)))
+        np.stack([report.positive, report.negative], axis=1)))
 
     *scores, gplus, gminus, borda, tiebreak = map(_fmt, _plan_columns(report))
-    beta1, beta2 = _fmt([report.incidence["beta1"], report.incidence["beta2"]])
+    beta1, beta2 = _fmt([report.beta1, report.beta2])
     section("incidence", ["plan", "gplus", "gminus"],
             [*zip(plans, gplus, gminus), ["beta1", beta1, ""], ["beta2", beta2, ""]])
-    for ms, col in zip(report.methods, scores):
-        section(f"method {ms.method}", ["plan", "score", "rank"],
-                zip(plans, col, ms.ranks.tolist()))
+    for method, col, ranks in zip(METHODS, scores, report.ranks.tolist()):
+        section(f"method {method}", ["plan", "score", "rank"], zip(plans, col, ranks))
     section("borda", ["plan", "borda_score", "tiebreak_score", "final_rank"],
-            zip(plans, borda, tiebreak, report.result.final_ranks.tolist()))
+            zip(plans, borda, tiebreak, report.final_ranks.tolist()))
     section("final_ranking", ["position", "plan"], enumerate(report.final_order, start=1))
     return buf.getvalue()[:-1]  # no blank line after the last section
 
@@ -265,30 +262,27 @@ def render_json(report: Report) -> bytes:
         "normalized": report.normalized,
         "weights": {
             "alpha": problem.subjective,
-            "beta_opt": report.weights.beta_opt,
-            "beta_ent": report.weights.beta_ent,
-            "beta_interval": report.weights.beta_interval,
-            "final": report.weights.w_final,
+            "beta_opt": report.beta_opt,
+            "beta_ent": report.beta_ent,
+            "beta_interval": report.beta_interval,
+            "final": report.w_final,
         },
         "weighted": report.weighted,
-        "ideal_vectors": {
-            "positive": report.ideals.positive,
-            "negative": report.ideals.negative,
-        },
+        "ideal_vectors": {"positive": report.positive, "negative": report.negative},
         "incidence": {
-            "gplus": report.incidence["gplus"],
-            "gminus": report.incidence["gminus"],
-            "beta1": float(report.incidence["beta1"]),
-            "beta2": float(report.incidence["beta2"]),
+            "gplus": report.gplus,
+            "gminus": report.gminus,
+            "beta1": report.beta1,
+            "beta2": report.beta2,
         },
         "methods": [
-            {"method": ms.method, "scores": ms.scores, "ranks": ms.ranks}
-            for ms in report.methods
+            {"method": method, "scores": scores, "ranks": ranks}
+            for method, scores, ranks in zip(METHODS, report.scores, report.ranks)
         ],
         "borda": {
-            "scores": report.result.borda_scores,
-            "tiebreak": report.result.tiebreak_scores,
-            "final_ranks": report.result.final_ranks,
+            "scores": report.borda,
+            "tiebreak": report.tiebreak,
+            "final_ranks": report.final_ranks,
         },
         "final_ranking": report.final_order,
     }

@@ -7,15 +7,16 @@ normalized matrix: a deviation-maximizing weight (each attribute in
 proportion to its total pairwise plan deviation) and four entropy weights
 (one per tuple component). Their coordinatewise envelope is the objective
 interval weight, and the final weight is the normalized interval product of
-subjective and objective. :class:`WeightBundle` holds the derived weights, not
-``problem.subjective``. Both objective weightings return ``(weights, notes)``:
-a weighting without signal falls back to uniform, with a note. Each function
-takes what parsing or the step before it produces and checks its shape no more.
+subjective and objective. ``run_pipeline`` keeps the derived weights as the
+``beta_opt``, ``beta_ent``, ``beta_interval`` and ``w_final`` fields of its
+``Report``; the subjective ones are ``problem.subjective``. Both objective
+weightings return ``(weights, notes)``: a weighting without signal falls back
+to uniform, with a note. Each function takes what parsing or the step before
+it produces and checks its shape no more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ from ._kernels import pairwise_deviation_sums
 from .errors import DegenerateProblemError, ValidationError
 
 __all__ = [
-    "WeightBundle",
     "comprehensive_objective",
     "entropy_weight_table",
     "final_weights",
@@ -157,13 +157,3 @@ def final_weights(alpha, beta, ids: Sequence[str] | None = None) -> np.ndarray:
             f"{_weight_name(j, ids)}: the upper bound exceeds the largest float"
         )
     return _interval_rows(np.column_stack((np.ldexp(prod_lo / den_hi, e_lo - e_hi), hi)), ids)
-
-
-@dataclass
-class WeightBundle:
-    """The weights the pipeline derives; the subjective ones are ``problem.subjective``."""
-
-    beta_opt: np.ndarray  # (m,)
-    beta_ent: np.ndarray  # (4, m)
-    beta_interval: np.ndarray  # (m, 2) (lo, hi) rows, like w_final
-    w_final: np.ndarray

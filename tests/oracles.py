@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from greyrank.errors import DegenerateProblemError, ValidationError
+from greyrank.evaluate import METHODS
 from greyrank.normalize import _TRIANGLES, AttributeSpec
 from greyrank.problem import _parse_cell, _parse_expert, _parse_preference
 from greyrank.values import term_indices
@@ -326,10 +327,7 @@ def _loop_cells(values) -> list[str]:
 
 def _loop_plan_columns(report) -> list[list[str]]:
     """The four method scores, then gplus, gminus, borda and tiebreak, per cell."""
-    columns = [ms.scores for ms in report.methods] + [
-        report.incidence["gplus"], report.incidence["gminus"],
-        report.result.borda_scores, report.result.tiebreak_scores,
-    ]
+    columns = [*report.scores, report.gplus, report.gminus, report.borda, report.tiebreak]
     return [_loop_cells(col) for col in np.array(columns)]
 
 
@@ -378,30 +376,29 @@ def loop_render_text(report) -> str:
 
     out("interval weights (subjective x objective):")
     out(f"  {'attribute':<12} {'alpha':>19} {'beta':>19} {'final':>19}")
-    weights = report.weights
     for attr, a, b, w in zip(problem.attributes, problem.subjective.tolist(),
-                             weights.beta_interval.tolist(), weights.w_final.tolist()):
+                             report.beta_interval.tolist(), report.w_final.tolist()):
         out(f"  {attr.id:<12} [{a[0]:.4f}, {a[1]:.4f}]  "
             f"[{b[0]:.4f}, {b[1]:.4f}]  [{w[0]:.4f}, {w[1]:.4f}]")
     out("")
 
     *scores, gplus, gminus, borda, tiebreak = _loop_plan_columns(report)
     out("method scores (rows are plans):")
-    lines += _loop_plan_table(plans, [ms.method for ms in report.methods], scores, 16)
+    lines += _loop_plan_table(plans, list(METHODS), scores, 16)
     out("")
 
-    beta1, beta2 = _loop_cells([report.incidence["beta1"], report.incidence["beta2"]])
+    beta1, beta2 = _loop_cells([report.beta1, report.beta2])
     out("incidence degrees against the ideals:")
     lines += _loop_plan_table(plans, ["positive", "negative"], [gplus, gminus], 16)
     out(f"  max-entropy pair weights: beta1 = {beta1}, beta2 = {beta2}")
     out("")
 
-    for ms in report.methods:
-        out(f"ranking ({ms.method}): " + _loop_ranking_line(plans, ms.ranks))
+    for method, ranks in zip(METHODS, report.ranks):
+        out(f"ranking ({method}): " + _loop_ranking_line(plans, ranks))
     out("")
 
     out("weighted borda:")
-    final = [str(r) for r in report.result.final_ranks.tolist()]
+    final = [str(r) for r in report.final_ranks.tolist()]
     lines += _loop_plan_table(plans, ["borda", "tiebreak", "final rank"],
                               [borda, tiebreak, final], 12)
     out("")
@@ -442,24 +439,24 @@ def loop_render_csv(report) -> str:
             [[a.id, a.kind, a.direction] for a in attrs])
     section("normalized", ["plan", "attribute", "x1", "x2", "x3", "x4"],
             keyed([(p, a.id) for p in plans for a in attrs], report.normalized))
-    w = report.weights
     section("weights", ["attribute", "alpha_lo", "alpha_hi", "beta_opt",
                         "beta_ent_1", "beta_ent_2", "beta_ent_3", "beta_ent_4",
                         "beta_lo", "beta_hi", "w_lo", "w_hi"],
             keyed([(a.id,) for a in attrs], np.column_stack(
-                [problem.subjective, w.beta_opt, w.beta_ent.T, w.beta_interval, w.w_final])))
+                [problem.subjective, report.beta_opt, report.beta_ent.T, report.beta_interval,
+                 report.w_final])))
     section("ideal_vectors", ["attribute", "bound", "y1", "y2", "y3", "y4"],
             keyed([(a.id, bound) for a in attrs for bound in ("positive", "negative")],
-                  np.stack([report.ideals.positive, report.ideals.negative], axis=1)))
+                  np.stack([report.positive, report.negative], axis=1)))
 
     *scores, gplus, gminus, borda, tiebreak = _loop_plan_columns(report)
-    beta1, beta2 = _loop_cells([report.incidence["beta1"], report.incidence["beta2"]])
+    beta1, beta2 = _loop_cells([report.beta1, report.beta2])
     section("incidence", ["plan", "gplus", "gminus"],
             [*zip(plans, gplus, gminus), ["beta1", beta1, ""], ["beta2", beta2, ""]])
-    for ms, col in zip(report.methods, scores):
-        section(f"method {ms.method}", ["plan", "score", "rank"],
-                zip(plans, col, ms.ranks.tolist()))
+    for method, col, ranks in zip(METHODS, scores, report.ranks):
+        section(f"method {method}", ["plan", "score", "rank"],
+                zip(plans, col, ranks.tolist()))
     section("borda", ["plan", "borda_score", "tiebreak_score", "final_rank"],
-            zip(plans, borda, tiebreak, report.result.final_ranks.tolist()))
+            zip(plans, borda, tiebreak, report.final_ranks.tolist()))
     section("final_ranking", ["position", "plan"], enumerate(report.final_order, start=1))
     return buf.getvalue()[:-1]  # no blank line after the last section

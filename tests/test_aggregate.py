@@ -3,18 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyrank import BordaConfig, MethodScores, ValidationError
+from greyrank import BordaConfig, ValidationError
 from greyrank.aggregate import scores_to_ranks, weighted_borda
 
 from oracles import loop_competition_ranks
 
 
 def _methods(*score_vectors):
-    names = ["topsis", "grey-approach", "membership", "max-entropy"]
-    return [
-        MethodScores.from_scores(name, np.asarray(scores, dtype=float))
-        for name, scores in zip(names, score_vectors)
-    ]
+    """The (4, n) scores of four methods, one row each."""
+    return np.array(score_vectors, dtype=float)
 
 
 def test_competition_ranks_hand_cases():
@@ -44,10 +41,10 @@ def test_borda_config_validation():
 
 def test_unanimous_methods_preserve_order():
     methods = _methods(*[[0.9, 0.1, 0.5]] * 4)
-    result = weighted_borda(methods, BordaConfig())
-    np.testing.assert_array_equal(result.final_ranks, [1, 3, 2])
-    np.testing.assert_allclose(result.borda_scores, [2.0, 0.0, 1.0])
-    assert list(result.order) == [0, 2, 1]
+    _, final_ranks, borda, _ = weighted_borda(methods, BordaConfig())
+    np.testing.assert_array_equal(final_ranks, [1, 3, 2])
+    np.testing.assert_allclose(borda, [2.0, 0.0, 1.0])
+    assert list(np.argsort(final_ranks, kind="stable")) == [0, 2, 1]
 
 
 def test_borda_tiebreak_by_normalized_score_sum():
@@ -55,20 +52,20 @@ def test_borda_tiebreak_by_normalized_score_sum():
     methods = _methods(
         [0.9, 0.8, 0.1], [0.9, 0.8, 0.1], [0.7, 0.9, 0.1], [0.7, 0.9, 0.1]
     )
-    result = weighted_borda(methods, BordaConfig())
-    np.testing.assert_allclose(result.borda_scores, [1.5, 1.5, 0.0])
+    _, final_ranks, borda, tiebreak = weighted_borda(methods, BordaConfig())
+    np.testing.assert_allclose(borda, [1.5, 1.5, 0.0])
     # normalized sums: plan 1 -> 1 + 1 + .75 + .75 = 3.5
     #                  plan 2 -> .875 + .875 + 1 + 1 = 3.75
-    np.testing.assert_allclose(result.tiebreak_scores, [3.5, 3.75, 0.0])
-    np.testing.assert_array_equal(result.final_ranks, [2, 1, 3])
+    np.testing.assert_allclose(tiebreak, [3.5, 3.75, 0.0])
+    np.testing.assert_array_equal(final_ranks, [2, 1, 3])
 
 
 def test_borda_tiebreak_by_plan_index():
     methods = _methods(
         [0.9, 0.8, 0.1], [0.9, 0.8, 0.1], [0.7, 0.9, 0.1], [0.7, 0.9, 0.1]
     )
-    result = weighted_borda(methods, BordaConfig(tie_break="plan-index"))
-    np.testing.assert_array_equal(result.final_ranks, [1, 2, 3])
+    final_ranks = weighted_borda(methods, BordaConfig(tie_break="plan-index"))[1]
+    np.testing.assert_array_equal(final_ranks, [1, 2, 3])
 
 
 def test_method_weights_shift_the_fusion():
@@ -76,18 +73,18 @@ def test_method_weights_shift_the_fusion():
         [0.9, 0.8], [0.8, 0.9], [0.8, 0.9], [0.8, 0.9]
     )
     favour_first = weighted_borda(methods, BordaConfig(method_weights=(1.0, 0.0, 0.0, 0.0)))
-    np.testing.assert_array_equal(favour_first.final_ranks, [1, 2])
+    np.testing.assert_array_equal(favour_first[1], [1, 2])
     favour_rest = weighted_borda(methods, BordaConfig(method_weights=(0.0, 0.5, 0.25, 0.25)))
-    np.testing.assert_array_equal(favour_rest.final_ranks, [2, 1])
+    np.testing.assert_array_equal(favour_rest[1], [2, 1])
 
 
 def test_identical_plans_full_tie_resolved_by_index():
     methods = _methods(*[[0.5, 0.5, 0.5, 0.5]] * 4)
-    result = weighted_borda(methods, BordaConfig())
+    _, final_ranks, _, tiebreak = weighted_borda(methods, BordaConfig())
     # everything ties; flat methods contribute zero tiebreak, so plan order
     # falls back to the index and the final ranking is still strict
-    np.testing.assert_array_equal(result.final_ranks, [1, 2, 3, 4])
-    np.testing.assert_allclose(result.tiebreak_scores, np.zeros(4))
+    np.testing.assert_array_equal(final_ranks, [1, 2, 3, 4])
+    np.testing.assert_allclose(tiebreak, np.zeros(4))
 
 
 def test_ranks_invariant_under_increasing_transforms():
@@ -104,13 +101,15 @@ def test_weighted_borda_permutation_equivariant():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         score_vectors = [rng.random(n) for _ in range(4)]
-        base = weighted_borda(_methods(*score_vectors), BordaConfig())
-        if len(set(base.borda_scores)) < n:
+        _, base_final, base_borda, _ = weighted_borda(_methods(*score_vectors), BordaConfig())
+        if len(set(base_borda)) < n:
             continue  # an exact tie would fall back to plan index, which is label-dependent
         perm = rng.permutation(n)
-        shuffled = weighted_borda(_methods(*(s[perm] for s in score_vectors)), BordaConfig())
-        np.testing.assert_allclose(shuffled.borda_scores, base.borda_scores[perm])
-        np.testing.assert_array_equal(shuffled.final_ranks, base.final_ranks[perm])
+        _, final_ranks, borda, _ = weighted_borda(
+            _methods(*(s[perm] for s in score_vectors)), BordaConfig()
+        )
+        np.testing.assert_allclose(borda, base_borda[perm])
+        np.testing.assert_array_equal(final_ranks, base_final[perm])
 
 
 def test_final_ranks_always_strict_permutation():
@@ -118,8 +117,8 @@ def test_final_ranks_always_strict_permutation():
     for _ in range(100):
         n = int(rng.integers(1, 9))
         methods = _methods(*(rng.random(n) for _ in range(4)))
-        result = weighted_borda(methods, BordaConfig())
-        assert sorted(result.final_ranks) == list(range(1, n + 1))
+        final_ranks = weighted_borda(methods, BordaConfig())[1]
+        assert sorted(final_ranks) == list(range(1, n + 1))
 
 
 @settings(max_examples=60)
@@ -130,6 +129,6 @@ def test_final_ranks_always_strict_permutation():
 def test_borda_scores_bounded(n, seed):
     rng = np.random.default_rng(seed)
     methods = _methods(*(rng.random(n) for _ in range(4)))
-    result = weighted_borda(methods, BordaConfig())
-    assert (result.borda_scores >= 0).all()
-    assert (result.borda_scores <= n - 1 + 1e-12).all()
+    borda = weighted_borda(methods, BordaConfig())[2]
+    assert (borda >= 0).all()
+    assert (borda <= n - 1 + 1e-12).all()

@@ -745,3 +745,37 @@ def test_integer_beyond_64_bits_is_quoted_as_a_float_by_json_report_solves(
         rc, out, err = run(capsysbinary, "solve", path, "--format", fmt)
         assert rc == 2 and out == b""
         assert err == message.format(spelling).encode()
+
+
+def _nested_document(name: str, depth: int) -> str:
+    """A document nested ``depth`` lists deep: its notes, or fighter's cell A1 of G1."""
+    if name == "notes":
+        return '{"schema": 1, "notes": ' + "[" * depth + "]" * depth + "}"
+    doc = fighter_document()
+    doc["matrix"][0][0] = "@cell@"
+    return json.dumps(doc).replace('"@cell@"', "[" * depth + "1" + "]" * depth)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json-report"])
+@pytest.mark.parametrize("name", ["notes", "cell"])
+def test_deeply_nested_document_exits_2_in_one_line(tmp_path, capsysbinary, name, fmt):
+    # json.loads, or the repr that quotes the cell in a message, passes the
+    # recursion limit; orjson decodes the notes document, which parse refuses
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_document(name, 3000), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path, "--format", fmt)
+    assert (rc, out) == (2, b"")
+    assert err.startswith(b"greyrank: error: ") and err.count(b"\n") == 1
+    assert b"Traceback" not in err
+    deep = f"greyrank: error: {path}: the document is nested too deeply\n".encode()
+    assert err == deep or (name, fmt) == ("notes", "json-report")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json-report"])
+def test_nested_cell_below_the_recursion_limit_is_located(tmp_path, capsysbinary, fmt):
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_document("cell", 900), encoding="utf-8")
+    rc, out, err = run(capsysbinary, "solve", path, "--format", fmt)
+    assert (rc, out) == (2, b"")
+    assert err.startswith(b"greyrank: error: plan 'G1', attribute 'A1': expected a number, got [[")
+    assert err.count(b"\n") == 1

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from greyrank import DegenerateProblemError, MethodParams, ValidationError
 from greyrank._kernels import distance_grid
+from greyrank.aggregate import weighted_borda
 from greyrank.evaluate import (
+    METHODS,
     apply_weights,
     approach_with_preference,
     blend_preference,
@@ -32,8 +34,8 @@ from oracles import (
 
 def ideal_grids(y):
     """The distance grids to the positive and the negative ideal of ``y``."""
-    ideals = ideal_vectors(y)
-    return distance_grid(y, ideals.positive), distance_grid(y, ideals.negative)
+    positive, negative = ideal_vectors(y)
+    return distance_grid(y, positive), distance_grid(y, negative)
 
 
 def test_method_params_validation():
@@ -96,9 +98,9 @@ def test_ideal_vectors_componentwise():
     y = np.zeros((2, 1, 4))
     y[0, 0] = [0.0, 0.3, 0.5, 0.9]
     y[1, 0] = [0.1, 0.2, 0.6, 0.8]
-    ideals = ideal_vectors(y)
-    np.testing.assert_allclose(ideals.positive[0], [0.1, 0.3, 0.6, 0.9])
-    np.testing.assert_allclose(ideals.negative[0], [0.0, 0.2, 0.5, 0.8])
+    positive, negative = ideal_vectors(y)
+    np.testing.assert_allclose(positive[0], [0.1, 0.3, 0.6, 0.9])
+    np.testing.assert_allclose(negative[0], [0.0, 0.2, 0.5, 0.8])
 
 
 def test_topsis_hand_case():
@@ -107,7 +109,7 @@ def test_topsis_hand_case():
     y[0, 0] = [0, 1, 1, 2]
     y[1, 0] = [0, 0, 2, 2]
     y[2, 0] = [0, 2, 2, 2]
-    scores = topsis_scores(*ideal_grids(y)).scores
+    scores = topsis_scores(*ideal_grids(y))
     assert scores[2] == pytest.approx(1.0)
     assert scores[0] == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)))
     assert scores[1] == pytest.approx(1.0 / 3.0)
@@ -115,7 +117,7 @@ def test_topsis_hand_case():
 
 def test_topsis_identical_plans_full_tie():
     y = np.tile(np.array([0.1, 0.2, 0.3, 0.4]), (4, 2, 1))
-    scores = topsis_scores(*ideal_grids(y)).scores
+    scores = topsis_scores(*ideal_grids(y))
     np.testing.assert_allclose(scores, np.full(4, 0.5))
 
 
@@ -125,10 +127,10 @@ def test_topsis_prefers_row_nearer_positive_ideal():
     y[0, 0] = [0, 0, 0, 0]
     y[1, 0] = [1, 1, 1, 1]
     y[2, 0] = [0, 0, 0, 2]
-    ideals = ideal_vectors(y)
-    d_minus = [np.linalg.norm(row[0] - ideals.negative[0]) for row in y]
+    _, negative = ideal_vectors(y)
+    d_minus = [np.linalg.norm(row[0] - negative[0]) for row in y]
     assert d_minus[1] == pytest.approx(d_minus[2])
-    scores = topsis_scores(*ideal_grids(y)).scores
+    scores = topsis_scores(*ideal_grids(y))
     assert scores[1] > scores[2]
 
 
@@ -136,17 +138,17 @@ def test_topsis_matches_loop_oracle():
     rng = np.random.default_rng(23)
     for n, m in ((1, 1), (2, 3), (5, 4), (9, 7)):
         y = random_generalized_matrix(rng, n, m, scale=float(rng.uniform(0.1, 10.0)))
-        scores = topsis_scores(*ideal_grids(y)).scores
+        scores = topsis_scores(*ideal_grids(y))
         np.testing.assert_allclose(scores, loop_topsis(y), rtol=1e-12)
 
 
 def test_incidence_coefficients_match_loop_oracle():
     rng = np.random.default_rng(21)
     y = random_generalized_matrix(rng, 5, 3)
-    ideals = ideal_vectors(y)
+    positive, _ = ideal_vectors(y)
     for rho in (0.2, 0.5, 0.9):
-        ours = incidence_coefficients(distance_grid(y, ideals.positive), rho)
-        oracle = loop_incidence_grid(y, ideals.positive, rho)
+        ours = incidence_coefficients(distance_grid(y, positive), rho)
+        oracle = loop_incidence_grid(y, positive, rho)
         np.testing.assert_allclose(ours, oracle, rtol=1e-12)
 
 
@@ -183,9 +185,9 @@ def test_incidence_degree_is_one_at_the_ideal_row():
     y[0] = [[0.4, 0.5, 0.6, 0.7], [0.3, 0.4, 0.5, 0.6]]
     y[1] = [[0.1, 0.2, 0.3, 0.4], [0.2, 0.3, 0.4, 0.5]]
     y[2] = [[0.2, 0.3, 0.4, 0.5], [0.1, 0.2, 0.3, 0.4]]
-    ideals = ideal_vectors(y)
-    np.testing.assert_allclose(ideals.positive, y[0])
-    g = incidence_degrees(incidence_coefficients(distance_grid(y, ideals.positive), 0.5))
+    positive, _ = ideal_vectors(y)
+    np.testing.assert_allclose(positive, y[0])
+    g = incidence_degrees(incidence_coefficients(distance_grid(y, positive), 0.5))
     assert g[0] == pytest.approx(1.0)
     assert ((g > 0) & (g <= 1)).all()
 
@@ -194,29 +196,29 @@ def test_approach_degree_hand_cases():
     gplus = np.array([0.8, 0.4])
     gminus = np.array([0.4, 0.8])
     even = approach_with_preference(gplus, gminus, MethodParams())
-    np.testing.assert_allclose(even.scores, [2 / 3, 1 / 3])
+    np.testing.assert_allclose(even, [2 / 3, 1 / 3])
     # full positive bias returns G+ itself
     biased = approach_with_preference(
         gplus, gminus, MethodParams(theta_plus=1.0, theta_minus=0.0)
     )
-    np.testing.assert_allclose(biased.scores, gplus)
+    np.testing.assert_allclose(biased, gplus)
 
 
 def test_approach_degree_of_tiny_degrees_is_scale_free():
     # G * theta underflows to 0 on both sides of the ratio; the ratio must not
     params = MethodParams(theta_plus=0.3, theta_minus=0.7)
-    np.testing.assert_array_equal(approach_with_preference([5e-324], [5e-324]).scores, [0.5])
+    np.testing.assert_array_equal(approach_with_preference([5e-324], [5e-324]), [0.5])
     tiny = 2.0**-1070
     np.testing.assert_allclose(
-        approach_with_preference([3 * tiny, tiny], [tiny, 3 * tiny], params).scores,
-        approach_with_preference([3.0, 1.0], [1.0, 3.0], params).scores,
+        approach_with_preference([3 * tiny, tiny], [tiny, 3 * tiny], params),
+        approach_with_preference([3.0, 1.0], [1.0, 3.0], params),
     )
 
 
 def test_approach_degree_of_zero_incidence_is_zero():
     # G- * theta_minus underflows to 0, so a plan with G+ = 0 would score 0/0
     params = MethodParams(theta_plus=1.0, theta_minus=5e-324)
-    scores = approach_with_preference([0.0, 0.9], [0.5, 0.3], params).scores
+    scores = approach_with_preference([0.0, 0.9], [0.5, 0.3], params)
     np.testing.assert_array_equal(scores, [0.0, 1.0])
 
 
@@ -226,8 +228,8 @@ def test_approach_degree_zero_pair_names_its_row():
 
 
 def test_membership_hand_case():
-    ms = membership_degrees(np.array([0.8]), np.array([0.4]))
-    assert ms.scores[0] == pytest.approx(0.64 / (0.64 + 0.16))
+    scores = membership_degrees(np.array([0.8]), np.array([0.4]))
+    assert scores[0] == pytest.approx(0.64 / (0.64 + 0.16))
 
 
 def test_membership_zero_pair_names_its_row():
@@ -238,8 +240,8 @@ def test_membership_zero_pair_names_its_row():
 def test_membership_of_tiny_degrees_is_scale_free():
     # squaring 1e-200 underflows; the ratio must not
     np.testing.assert_allclose(
-        membership_degrees([3e-200, 1e-200], [1e-200, 3e-200]).scores,
-        membership_degrees([3.0, 1.0], [1.0, 3.0]).scores,
+        membership_degrees([3e-200, 1e-200], [1e-200, 3e-200]),
+        membership_degrees([3.0, 1.0], [1.0, 3.0]),
     )
 
 
@@ -247,7 +249,7 @@ def test_membership_matches_grid_minimizer():
     rng = np.random.default_rng(31)
     gplus = rng.random(40) * 0.98 + 0.02
     gminus = rng.random(40) * 0.98 + 0.02
-    ours = membership_degrees(gplus, gminus).scores
+    ours = membership_degrees(gplus, gminus)
     for i in range(len(gplus)):
         assert ours[i] == pytest.approx(grid_membership(gplus[i], gminus[i]), abs=1e-6)
 
@@ -276,35 +278,36 @@ def test_max_entropy_weights_overflow_safe():
 
 
 def test_comprehensive_incidence_hand_case():
-    ms = comprehensive_incidence(np.array([0.8]), np.array([0.4]), 0.75, 0.25)
-    assert ms.scores[0] == pytest.approx(0.75 * 0.8 + 0.25 * 0.6)
+    scores = comprehensive_incidence(np.array([0.8]), np.array([0.4]), 0.75, 0.25)
+    assert scores[0] == pytest.approx(0.75 * 0.8 + 0.25 * 0.6)
 
 
 def test_score_all_methods_fixed_order_and_extras():
     rng = np.random.default_rng(51)
     y = random_generalized_matrix(rng, 5, 3)
-    methods, extras = score_all_methods(y, ideal_vectors(y), MethodParams())
-    assert [ms.method for ms in methods] == [
+    scores, gplus, gminus, beta1, beta2 = score_all_methods(y, *ideal_vectors(y), MethodParams())
+    assert list(METHODS) == [
         "topsis",
         "grey-approach",
         "membership",
         "max-entropy",
     ]
-    for ms in methods:
-        assert (ms.scores >= 0).all() and (ms.scores <= 1).all()
-        assert sorted(ms.ranks) == sorted(range(1, 6)) or len(set(ms.ranks)) < 5
-    assert 0 < extras["beta1"] < 1
-    assert extras["beta1"] + extras["beta2"] == pytest.approx(1.0, abs=1e-12)
-    assert (extras["gplus"] > 0).all() and (extras["gplus"] <= 1).all()
-    assert (extras["gminus"] > 0).all() and (extras["gminus"] <= 1).all()
+    assert scores.shape == (len(METHODS), 5)
+    for s, ranks in zip(scores, weighted_borda(scores)[0]):
+        assert (s >= 0).all() and (s <= 1).all()
+        assert sorted(ranks) == sorted(range(1, 6)) or len(set(ranks)) < 5
+    assert 0 < beta1 < 1
+    assert beta1 + beta2 == pytest.approx(1.0, abs=1e-12)
+    assert (gplus > 0).all() and (gplus <= 1).all()
+    assert (gminus > 0).all() and (gminus <= 1).all()
 
 
 def test_identical_plans_tie_in_every_method():
     y = np.tile(np.array([0.1, 0.2, 0.3, 0.4]), (4, 3, 1))
-    methods, _ = score_all_methods(y, ideal_vectors(y), MethodParams())
-    for ms in methods:
-        np.testing.assert_allclose(ms.scores, np.full(4, ms.scores[0]))
-        assert (ms.ranks == 1).all()
+    scores = score_all_methods(y, *ideal_vectors(y), MethodParams())[0]
+    for s, ranks in zip(scores, weighted_borda(scores)[0]):
+        np.testing.assert_allclose(s, np.full(4, s[0]))
+        assert (ranks == 1).all()
 
 
 @settings(max_examples=50, deadline=None)
@@ -316,8 +319,8 @@ def test_identical_plans_tie_in_every_method():
 def test_all_scores_bounded(n, m, seed):
     rng = np.random.default_rng(seed)
     y = random_generalized_matrix(rng, n, m)
-    methods, _ = score_all_methods(y, ideal_vectors(y), MethodParams())
-    for ms in methods:
-        assert (ms.scores >= -1e-12).all() and (ms.scores <= 1 + 1e-12).all()
-        assert ms.ranks.min() == 1
-        assert ms.ranks.max() <= n
+    scores = score_all_methods(y, *ideal_vectors(y), MethodParams())[0]
+    for s, ranks in zip(scores, weighted_borda(scores)[0]):
+        assert (s >= -1e-12).all() and (s <= 1 + 1e-12).all()
+        assert ranks.min() == 1
+        assert ranks.max() <= n

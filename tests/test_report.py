@@ -77,7 +77,7 @@ def test_json_report_is_sorted_and_complete(toy_report):
     assert payload["problem"]["schema"] == 1
     assert len(payload["methods"]) == 4
     assert payload["final_ranking"] == [
-        toy_report.problem.plans[i] for i in toy_report.result.order
+        toy_report.problem.plans[i] for i in np.argsort(toy_report.final_ranks, kind="stable")
     ]
     # normalized and weighted tables have full (n, m, 4) shape
     assert len(payload["normalized"]) == 2
@@ -118,18 +118,18 @@ def test_json_report_floats_read_back_exactly():
     report = run_pipeline(parse_problem_dict(doc))
     assert ((0 < report.weighted) & (report.weighted < 1e-4)).any()
     out = json.loads(emit_report(report, "json-report"))
-    w = report.weights
     arrays = {
         ("normalized",): report.normalized, ("weighted",): report.weighted,
-        ("weights", "alpha"): report.problem.subjective, ("weights", "beta_opt"): w.beta_opt,
-        ("weights", "beta_ent"): w.beta_ent, ("weights", "beta_interval"): w.beta_interval,
-        ("weights", "final"): w.w_final, ("ideal_vectors", "positive"): report.ideals.positive,
-        ("ideal_vectors", "negative"): report.ideals.negative,
-        ("incidence", "gplus"): report.incidence["gplus"],
-        ("incidence", "gminus"): report.incidence["gminus"],
-        ("borda", "scores"): report.result.borda_scores,
-        ("borda", "tiebreak"): report.result.tiebreak_scores,
-        ("borda", "final_ranks"): report.result.final_ranks,
+        ("weights", "alpha"): report.problem.subjective, ("weights", "beta_opt"): report.beta_opt,
+        ("weights", "beta_ent"): report.beta_ent,
+        ("weights", "beta_interval"): report.beta_interval,
+        ("weights", "final"): report.w_final, ("ideal_vectors", "positive"): report.positive,
+        ("ideal_vectors", "negative"): report.negative,
+        ("incidence", "gplus"): report.gplus,
+        ("incidence", "gminus"): report.gminus,
+        ("borda", "scores"): report.borda,
+        ("borda", "tiebreak"): report.tiebreak,
+        ("borda", "final_ranks"): report.final_ranks,
         ("problem", "preferences"): report.problem.preferences,
     }
     for keys, values in arrays.items():
@@ -137,10 +137,10 @@ def test_json_report_floats_read_back_exactly():
         for key in keys:
             got = got[key]
         assert got == values.tolist(), keys
-    for got, ms in zip(out["methods"], report.methods):
-        assert got["scores"] == ms.scores.tolist() and got["ranks"] == ms.ranks.tolist()
+    for got, scores, ranks in zip(out["methods"], report.scores, report.ranks):
+        assert got["scores"] == scores.tolist() and got["ranks"] == ranks.tolist()
     assert [out["incidence"]["beta1"], out["incidence"]["beta2"]] == [
-        report.incidence["beta1"], report.incidence["beta2"]]
+        report.beta1, report.beta2]
 
 
 def test_json_report_refuses_a_non_finite_weighted_value(toy_report):
@@ -276,9 +276,10 @@ def _fighter_x3():
 
 @pytest.mark.parametrize("name", ["fighter", "fighter-x3"])
 def test_fighter_reports_match_golden(name):
-    # a refactor must not move a byte of the text or CSV report; the
-    # json-report is left out, as its last float digits follow summation order
+    # a refactor must not move a byte of any report; the json-report pins
+    # every float to its last digit, so it also pins the summation order
     load = {"fighter": load_fighter_problem, "fighter-x3": _fighter_x3}[name]
     report = run_pipeline(load())
     assert emit_report(report, "text") == (GOLDEN / f"{name}.txt").read_bytes()
     assert emit_report(report, "csv") == (GOLDEN / f"{name}.csv").read_bytes()
+    assert emit_report(report, "json-report") == (GOLDEN / f"{name}.json").read_bytes()

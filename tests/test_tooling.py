@@ -3,9 +3,10 @@
 ``perfbench/child.py`` lists them in ``TRACED``; a refactor that drops or
 renames one would break ``python3 perfbench/run.py --trace 1``. The file is
 read and executed here without writing anything next to it. The package's
-public names are the ones the README lists.
+public names, and the fields of ``Report``, are the ones the README lists.
 """
 
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -85,10 +86,13 @@ def test_text_and_csv_solves_never_load_orjson(tmp_path):
 
 def test_public_names_are_the_readme_list_and_resolve():
     text = README.read_text(encoding="utf-8")
-    listed = text.split("`greyrank` exports exactly these 19 names:\n\n")[1].split("\n\n")[0]
+    listed = text.split("`greyrank` exports exactly these 15 names:\n\n")[1].split("\n\n")[0]
     names = {re.match(r"\w+", quoted).group() for quoted in re.findall(r"`([^`]+)`", listed)}
-    assert len(names) == 19
+    assert len(names) == 15
     assert sorted(greyrank.__all__) == sorted(names)
+    fields = text.split("`Report` has exactly these fields, in order:\n\n")[1].split("\n\n")[0]
+    assert re.findall(r"^- `(\w+)`", fields, re.M) == [
+        field.name for field in dataclasses.fields(greyrank.Report)]
     modules = [greyrank] + [importlib.import_module(f"greyrank.{info.name}")
                             for info in pkgutil.iter_modules(greyrank.__path__)]
     for module in modules:

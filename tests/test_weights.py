@@ -109,10 +109,10 @@ def test_identical_plans_get_exactly_uniform_entropy_weights(n):
     doc["matrix"] = [doc["matrix"][0]] * n
     doc["preferences"] = [doc["preferences"][0]] * n
     report = run_pipeline(parse_problem_dict(doc))
-    assert (report.weights.beta_ent == 1 / 9).all()
+    assert (report.beta_ent == 1 / 9).all()
     flat = "all attribute columns are flat: entropy weights fall back to uniform"
     assert report.notes.count(flat) == 4
-    assert (report.result.borda_scores == report.result.borda_scores[0]).all()
+    assert (report.borda == report.borda[0]).all()
 
 
 def test_entropy_weight_table_shape_and_sums():
@@ -221,18 +221,17 @@ def test_pipeline_weight_bundle_shapes():
     problem = load_fighter_problem()
     report = run_pipeline(problem)
     assert report.problem is problem  # the report holds the problem, not a copy
-    bundle = report.weights
-    assert bundle.beta_opt.shape == (9,)
-    assert bundle.beta_ent.shape == (4, 9)
+    assert report.beta_opt.shape == (9,)
+    assert report.beta_ent.shape == (4, 9)
     assert report.problem.subjective.shape == (9, 2)
-    assert bundle.beta_interval.shape == (9, 2)
-    assert bundle.w_final.shape == (9, 2)
-    lo, hi = bundle.w_final.T
+    assert report.beta_interval.shape == (9, 2)
+    assert report.w_final.shape == (9, 2)
+    lo, hi = report.w_final.T
     assert ((0 <= lo) & (lo <= hi)).all()
     # beta_opt and every entropy row lie inside the comprehensive envelope
-    lo, hi = bundle.beta_interval.T
-    assert ((lo <= bundle.beta_opt) & (bundle.beta_opt <= hi)).all()
-    assert ((lo <= bundle.beta_ent) & (bundle.beta_ent <= hi)).all()
+    lo, hi = report.beta_interval.T
+    assert ((lo <= report.beta_opt) & (report.beta_opt <= hi)).all()
+    assert ((lo <= report.beta_ent) & (report.beta_ent <= hi)).all()
 
 
 @settings(max_examples=40, deadline=None)
