@@ -16,9 +16,13 @@ its values:
 * all other columns sum over the full 4-component grid.
 
 Every grid covers the upper triangle of pairs in blocks of a fixed element
-budget. The full grids are quadratic in the number of plans and dominate
-runtime on large problems. ``perfbench/run.py --trace 1`` times each kernel
-per solve (``kernels.*_ms``).
+budget. With more than one block, one buffer per call holds each block's
+differences: the block's rows are copied in and the later rows subtracted in
+place, which is faster than a two-sided broadcast subtract and gives the same
+bits. A problem of one block, such as fighter, skips the buffer. The full
+grids are quadratic in the number of plans and dominate runtime on large
+problems. ``perfbench/run.py --trace 1`` times each kernel per solve
+(``kernels.*_ms``).
 """
 
 from __future__ import annotations
@@ -128,18 +132,25 @@ def _grid_sums(x: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     pairs for every column at once. The e - s square columns of a block hold
     both orders of each pair and count once; the rest count twice. With
     ``counts`` (n, m), the distance between rows a and b counts
-    ``counts[a] * counts[b]`` times.
+    ``counts[a] * counts[b]`` times. With more than one block, each block's
+    grid is computed in place in one buffer allocated per call; the
+    distances, their layout and so the sums are those of a fresh grid.
     """
-    n, m, _ = x.shape
+    n, m, k = x.shape
     # (m, n, k) over component-major storage: the components of a block's
     # differences are contiguous slabs.
     u = np.ascontiguousarray(x.T).transpose(1, 2, 0)
     w = None if counts is None else np.ascontiguousarray(counts.T)
     rows = max(1, _SLAB // (m * n))
+    # A problem of one block computes its grid directly: for one grid the
+    # buffer costs more than the in-place subtract saves.
+    buf = np.empty(k * m * rows * n) if rows < n else None
     total = np.zeros(m)
     for s in range(0, n, rows):
         b = min(rows, n - s)
-        d = distance_grid(u[:, s:s + b, None, :], u[:, None, s:, :])
+        out = None if buf is None else (
+            buf[:k * m * b * (n - s)].reshape(k, m, b, n - s).transpose(1, 2, 3, 0))
+        d = distance_grid(u[:, s:s + b, None, :], u[:, None, s:, :], out)
         if w is not None:
             d *= w[:, s:s + b, None]
             d *= w[:, None, s:]
@@ -147,19 +158,30 @@ def _grid_sums(x: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def distance_grid(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
+def distance_grid(y: np.ndarray, ref: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean distance between the last-axis tuples of ``y`` and ``ref``.
 
     The tuples are the normalized 4-tuples, or the two distinct components of
     paired tuples. ``y`` and ``ref`` broadcast against each other over their
     leading axes: an (n, m, 4) matrix against an (m, 4) reference vector
     gives an (n, m) grid.
+
+    ``out``, of the broadcast shape, takes the differences instead of a new
+    array: ``y`` is copied in and ``ref`` subtracted in place, and the
+    distances are the first component's slice of it, ``out[..., 0]``.
     """
-    diff = y - ref
+    if out is None:
+        diff = y - ref
+    else:
+        # Filling with y and subtracting in place is faster on large grids
+        # than the two-sided broadcast subtract, and gives the same bits.
+        diff = out
+        np.copyto(diff, y)
+        diff -= ref
     # Squaring in place saves the largest temporary. Adding the components
     # slice by slice is faster than a reduction over a short axis.
     diff *= diff
-    d = diff[..., 0] + diff[..., 1]
+    d = np.add(diff[..., 0], diff[..., 1], out=None if out is None else diff[..., 0])
     for k in range(2, diff.shape[-1]):
         d += diff[..., k]
     return np.sqrt(d, out=d)

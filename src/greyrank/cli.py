@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import DegenerateProblemError, ValidationError, located
 from .pipeline import run_pipeline
-from .problem import DecisionProblem, _load_document, parse_problem_dict
+from .problem import DecisionProblem, _collector_paused, _load_document, parse_problem_dict
 from .report import FORMATS, emit_report
 
 __all__ = ["main"]
@@ -91,12 +91,13 @@ def _apply_overrides(problem: DecisionProblem, args: argparse.Namespace) -> Deci
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        data = _load_document(Path(args.file), use_orjson=args.format == "json-report")
-        if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
-            # A json-report was produced by us; solve its embedded problem.
-            data = data["problem"]
-        problem = _apply_overrides(parse_problem_dict(data, source=args.file), args)
-        del data  # the problem holds everything a report needs
+        with _collector_paused():
+            data = _load_document(Path(args.file), use_orjson=args.format == "json-report")
+            if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
+                # A json-report was produced by us; solve its embedded problem.
+                data = data["problem"]
+            problem = _apply_overrides(parse_problem_dict(data, source=args.file), args)
+            del data  # the problem holds everything a report needs
         report = run_pipeline(problem)
         payload = emit_report(report, args.format)
     except ValidationError as exc:

@@ -37,6 +37,7 @@ reading applies.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -516,7 +517,33 @@ def _load_document(path: Path, use_orjson: bool = False):
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
+class _collector_paused:
+    """A context that pauses the cyclic garbage collector while a decoded
+    document is alive: open it before the decode, close it once the document
+    is freed.
+
+    A decoded document is tens of thousands of acyclic containers on a large
+    file. With the collector running, they set off dozens of collections
+    during the decode; paused for the decode alone, the first allocation
+    after it scans them all at once. Freed while the collector is paused,
+    they are never scanned. The caller's collector state is restored. A
+    class, not a ``contextlib`` generator, which cost a fighter solve about
+    7 µs.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if self.enabled:
+            gc.enable()
+
+
 def parse_problem(path: str | Path) -> DecisionProblem:
     """Load and validate a problem file."""
     path = Path(path)
-    return parse_problem_dict(_load_document(path), source=str(path))
+    with _collector_paused():
+        return parse_problem_dict(_load_document(path), source=str(path))

@@ -17,6 +17,10 @@ text report formatted one cell at a time, padded with ``rjust`` and joined
 per row, as before each table was written from one row template.
 ``loop_render_csv`` is the CSV report with each row built from its keys and
 its own cells, where ``render_csv`` formats a whole column at a time.
+``broadcast_grid_sums`` is the deviation kernel's block loop as it was before
+each block's grid was computed in one reused buffer: it shares
+``distance_grid``'s default path and the block size, so it checks that the
+buffered loop gives the same bits, not the distances themselves.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from greyrank._kernels import _SLAB, distance_grid
 from greyrank.errors import DegenerateProblemError, ValidationError
 from greyrank.evaluate import METHODS
 from greyrank.normalize import _TRIANGLES, AttributeSpec
@@ -143,6 +148,25 @@ def loop_distance_grid(y: np.ndarray, ref: np.ndarray) -> np.ndarray:
         for j in range(m):
             d[i, j] = math.dist(y[i, j], ref[j])
     return d
+
+
+def broadcast_grid_sums(x: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """``_kernels._grid_sums`` with a fresh two-sided broadcast grid per block."""
+    n, m, _ = x.shape
+    # (m, n, k) over component-major storage: the components of a block's
+    # differences are contiguous slabs.
+    u = np.ascontiguousarray(x.T).transpose(1, 2, 0)
+    w = None if counts is None else np.ascontiguousarray(counts.T)
+    rows = max(1, _SLAB // (m * n))
+    total = np.zeros(m)
+    for s in range(0, n, rows):
+        b = min(rows, n - s)
+        d = distance_grid(u[:, s:s + b, None, :], u[:, None, s:, :])
+        if w is not None:
+            d *= w[:, s:s + b, None]
+            d *= w[:, None, s:]
+        total += d[:, :, :b].sum(axis=(1, 2)) + 2.0 * d[:, :, b:].sum(axis=(1, 2))
+    return total
 
 
 def loop_incidence_grid(y: np.ndarray, ref: np.ndarray, rho: float) -> np.ndarray:

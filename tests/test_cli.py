@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import gc
 import io
 import json
 import sys
@@ -11,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import greyrank.problem
 from greyrank import DecisionProblem, fighter_problem_path, parse_problem, parse_problem_dict
-from greyrank import pipeline
+from greyrank import cli, pipeline
 from greyrank.cli import main
 from greyrank.report import render_json
 
@@ -730,6 +732,40 @@ def test_json_report_solves_decode_with_orjson(tmp_path, monkeypatch):
     for path in (fighter_problem_path(), tied):
         assert main(["solve", str(path), "--format", "json-report",
                      "--out", str(tmp_path / "report")]) == 0
+
+
+def test_documents_are_decoded_and_parsed_with_the_collector_paused(tmp_path, monkeypatch, capsys):
+    # the decoded document is freed before the collector resumes, and every
+    # caller gets its own collector state back, also when the file is bad
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    seen = []
+
+    def recording(parse):
+        def parse_problem_dict(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return parse(*args, **kwargs)
+        return parse_problem_dict
+
+    monkeypatch.setattr(cli, "parse_problem_dict", recording(cli.parse_problem_dict))
+    monkeypatch.setattr(greyrank.problem, "parse_problem_dict",
+                        recording(greyrank.problem.parse_problem_dict))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for fmt in ("text", "json-report"):
+                assert main(["solve", str(fighter_problem_path()), "--format", fmt,
+                             "--out", str(tmp_path / "report")]) == 0
+                assert gc.isenabled() is enabled
+                assert main(["solve", str(bad), "--format", fmt]) == 2
+                assert gc.isenabled() is enabled
+            assert parse_problem(fighter_problem_path()).n_plans == 5
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 6
+    assert capsys.readouterr().err.count("invalid JSON") == 4
 
 
 def test_integer_beyond_64_bits_is_quoted_as_a_float_by_json_report_solves(

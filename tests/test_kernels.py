@@ -8,13 +8,19 @@ from greyrank import AttributeSpec
 from greyrank._kernels import (
     _SLAB,
     _distinct_tuples,
+    _grid_sums,
     distance_grid,
     pairwise_deviation_sums,
     using_numba,
 )
 from greyrank.normalize import DIRECTIONS, KINDS, normalize_matrix
 
-from oracles import brute_deviation_coefficients, loop_distance_grid, random_generalized_matrix
+from oracles import (
+    broadcast_grid_sums,
+    brute_deviation_coefficients,
+    loop_distance_grid,
+    random_generalized_matrix,
+)
 
 
 def test_pairwise_deviation_matches_brute_force():
@@ -114,6 +120,23 @@ def test_pairwise_deviation_paths_agree():
         )
 
 
+def test_grid_sums_match_broadcast_blocks():
+    # the buffered block loop gives the bits of a fresh broadcast grid per block
+    rng = np.random.default_rng(76)
+    # one plan; one block; several blocks, the last partial; one row per block
+    shapes = [(1, 3), (30, 3), (130, 8), (100, 700)]
+    rows = [max(1, _SLAB // (m * n)) for n, m in shapes]
+    assert rows[1] >= 30
+    assert 130 > 2 * rows[2] and 130 % rows[2]
+    assert 100 * 700 > _SLAB and rows[3] == 1
+    for n, m in shapes:
+        for k in (2, 4):
+            x = np.sort(rng.random((n, m, k)), axis=2)
+            counts = rng.integers(0, 5, (n, m)).astype(float)
+            for c in (None, counts):
+                np.testing.assert_array_equal(_grid_sums(x, c), broadcast_grid_sums(x, c))
+
+
 def test_pairwise_deviation_memory_is_bounded():
     # the pairwise grid is built in blocks of about _SLAB distances, never n x n
     rng = np.random.default_rng(75)
@@ -168,6 +191,15 @@ def test_distance_grid_paths_agree():
         oracle = loop_distance_grid(y, y[i])  # (k, m)
         np.testing.assert_allclose(block[:, b, :], oracle.T, rtol=1e-12)
         np.testing.assert_array_equal(block[:, b, :], distance_grid(y, y[i]).T)
+    # over component-major storage and into a component-major buffer, as the
+    # block loop passes them: the same bits in the same layout
+    u = np.ascontiguousarray(y.T).transpose(1, 2, 0)
+    fresh = distance_grid(u[:, 2:5, None, :], u[:, None, :, :])
+    buf = np.empty(4 * 5 * 3 * 8).reshape(4, 5, 3, 8).transpose(1, 2, 3, 0)
+    filled = distance_grid(u[:, 2:5, None, :], u[:, None, :, :], buf)
+    np.testing.assert_array_equal(fresh, block)
+    np.testing.assert_array_equal(filled, fresh)
+    assert filled.strides == fresh.strides
 
 
 def test_using_numba_reports_current_process():
