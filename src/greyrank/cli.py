@@ -98,8 +98,9 @@ def main(argv: list[str] | None = None) -> int:
                 data = data["problem"]
             problem = _apply_overrides(parse_problem_dict(data, source=args.file), args)
             del data  # the problem holds everything a report needs
-        report = run_pipeline(problem)
-        payload = emit_report(report, args.format)
+            # the pipeline and the render make no garbage cycles; a json-report
+            # render's echo alone would set off dozens of collections
+            payload = emit_report(run_pipeline(problem), args.format)
     except ValidationError as exc:
         print(f"greyrank: error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,12 @@ written into every report, which is UTF-8, so none may hold a lone surrogate
 (a JSON escape such as ``"\\ud800"`` can spell one).
 
 Every violation is reported with the plan/attribute location that caused it.
-The matrix is validated a column at a time, in one pass per check over the
-column or, where that fails, cell by cell; the preferences and expert
-vectors are checked the same way. The matrix is stored as one float array
+The matrix is validated a cell kind at a time: one pass per check over all
+the cells of a kind, gathered in row order, then finiteness and order once
+over the whole matrix. A kind that fails is retried a column at a time, and
+the columns that still fail are validated cell by cell. The preferences,
+expert vectors and subjective intervals are checked in one pass each, or
+else one entry at a time. The matrix is stored as one float array
 of bounds, :attr:`DecisionProblem.raw`, of shape (n, m, 2): ``(lo, hi)`` for
 real and interval cells (a real ``v`` is ``(v, v)``), and ``(lower, upper)``
 term indices in -5..5 for linguistic and uncertain cells (a term ``k`` is
@@ -42,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, le
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -195,64 +198,79 @@ def _only(values, types: set) -> None:
         raise TypeError("not a bulk column")
 
 
-def _finite_numbers(values) -> None:
-    """Raise one of ``_NOT_BULK`` unless every value is an int or float, finite as a float."""
-    _only(values, _NUMBER_TYPES)
-    # math.isfinite raises OverflowError on an integer too large for a float
-    if not all(map(math.isfinite, values)):
-        raise ValueError("not a bulk column")
+def _bulk_bounds(rows: list, js: list[int], kind: str, terms: dict[str, int]) -> np.ndarray:
+    """The (len(rows), len(js), 2) bounds of columns ``js``, all of ``kind``.
 
-
-def _bulk_column(cells: tuple, kind: str, terms: dict[str, int]) -> list:
-    """One column's k lower bounds, then its k upper bounds.
-
+    Gathers the cells in row order, the order the decoder made them in.
     Accepts bare numbers, ``[lo, hi]`` number pairs and term labels spelled
-    exactly as a key of ``terms``, when every bound is finite and no pair is
-    out of order: a subset of what :func:`_parse_cell` accepts, with the same
-    bounds. Anything else raises one of ``_NOT_BULK``.
+    exactly as a key of ``terms``: a subset of what :func:`_parse_cell`
+    accepts, with the same bounds as long as every bound is finite and no
+    pair is out of order, which the caller checks. Anything else raises one
+    of ``_NOT_BULK``.
     """
+    get = itemgetter(*js)
+    cells = list(map(get, rows)) if len(js) == 1 else list(chain.from_iterable(map(get, rows)))
     if kind == "real":
-        _finite_numbers(cells)
-        return list(cells) * 2
-    _only(cells, {dict})
-    if set(map(len, cells)) != {1}:
-        raise ValueError("not a bulk column")
-    inner = list(map(itemgetter(_CELL_KEY[kind]), cells))
-    if kind == "linguistic":  # term indices: finite, and a term is its own pair
-        return list(map(terms.__getitem__, inner)) * 2
-    _only(inner, {list})
-    if set(map(len, inner)) != {2}:
-        raise ValueError("not a bulk column")
-    flat = list(chain.from_iterable(inner))
-    if kind == "interval":
-        _finite_numbers(flat)
+        _only(cells, _NUMBER_TYPES)
+        values, count = cells, len(cells)
     else:
-        flat = list(map(terms.__getitem__, flat))
-    lo, hi = flat[0::2], flat[1::2]
-    if not all(map(le, lo, hi)):
-        raise ValueError("not a bulk column")
-    return lo + hi
+        _only(cells, {dict})
+        if set(map(len, cells)) != {1}:
+            raise ValueError("not a bulk column")
+        inner = list(map(itemgetter(_CELL_KEY[kind]), cells))
+        if kind == "linguistic":
+            values, count = map(terms.__getitem__, inner), len(cells)
+        else:
+            _only(inner, {list})
+            if set(map(len, inner)) != {2}:
+                raise ValueError("not a bulk column")
+            values, count = chain.from_iterable(inner), 2 * len(cells)
+            if kind == "interval":
+                _only(chain.from_iterable(inner), _NUMBER_TYPES)
+            else:
+                values = map(terms.__getitem__, values)
+    # raises OverflowError on an integer too large for a float
+    bounds = np.fromiter(values, np.float64, count)
+    if count == len(cells):  # a real or a term is its own pair
+        bounds = bounds.repeat(2)
+    return bounds.reshape(len(rows), len(js), 2)
 
 
 def _parse_matrix(
     rows: list, plans: list[str], attributes: list[AttributeSpec], terms: dict[str, int]
 ) -> np.ndarray:
-    """The (len(rows), m, 2) bounds of well-shaped matrix rows, a column at a time.
+    """The (len(rows), m, 2) bounds of well-shaped matrix rows, a kind at a time.
 
-    The columns :func:`_bulk_column` rejects go through :func:`_parse_cell`
-    in row-major order, so the first bad cell raises the same located
-    message as a cell-by-cell pass would.
+    The columns of a kind that :func:`_bulk_bounds` rejects are retried one
+    at a time, and those it still rejects, or whose bounds are not finite
+    and in order, go through :func:`_parse_cell` in row-major order, so the
+    first bad cell raises the same located message as a cell-by-cell pass
+    would.
     """
-    k, m = len(rows), len(attributes)
-    flat: list = []
-    slow = []
-    for j, (attr, cells) in enumerate(zip(attributes, zip(*rows))):
+    k = len(rows)
+    kinds: dict[str, list[int]] = {}
+    for j, attr in enumerate(attributes):
+        kinds.setdefault(attr.kind, []).append(j)
+    order, parts, slow = [], [], []
+    for kind, js in kinds.items():
+        order += js
         try:
-            flat += _bulk_column(cells, attr.kind, terms)
+            parts.append(_bulk_bounds(rows, js, kind, terms))
         except _NOT_BULK:
-            flat += [0.0] * (2 * k)
-            slow.append(j)
-    raw = np.array(flat, dtype=np.float64).reshape(m, 2, k).transpose(2, 0, 1).copy()
+            for j in js:
+                try:
+                    parts.append(_bulk_bounds(rows, [j], kind, terms))
+                except _NOT_BULK:
+                    parts.append(np.zeros((k, 1, 2)))
+                    slow.append(j)
+    raw = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+    if order != sorted(order):
+        raw = raw[:, np.argsort(order)]
+    lo, hi = raw[..., 0], raw[..., 1]
+    if not (np.isfinite(raw).all() and (lo <= hi).all()):
+        bad = ~(np.isfinite(raw).all(axis=2) & (lo <= hi)).all(axis=0)
+        slow += np.flatnonzero(bad).tolist()
+    slow.sort()
     for i in range(k if slow else 0):
         for j in slow:
             where = f"plan {plans[i]!r}, attribute {attributes[j].id!r}"
@@ -334,6 +352,33 @@ def _parse_expert(vec, i: int, ids: list[str]) -> list[float]:
     return row
 
 
+def _parse_intervals(intervals: list, ids: list[str]) -> np.ndarray:
+    """The (m, 2) subjective interval weights: one pass over all pairs, or
+    else one pair at a time."""
+    try:
+        _only(intervals, {list})
+        _only(chain.from_iterable(intervals), _NUMBER_TYPES)
+        # unpacking raises ValueError on a pair that is not two numbers
+        if all(0 <= lo <= hi < math.inf for lo, hi in intervals):
+            # raises OverflowError on an integer too large for a float
+            return np.array(intervals, dtype=np.float64)
+    except _NOT_BULK:
+        pass
+    return np.array([_parse_interval(pair, attr_id) for attr_id, pair in zip(ids, intervals)],
+                    dtype=np.float64)
+
+
+def _parse_interval(pair, attr_id: str) -> tuple[float, float]:
+    """The subjective weight of attribute ``attr_id``: finite ``0 <= lo <= hi``."""
+    with located(f"subjective weight for attribute {attr_id!r}"):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValidationError(f"expected a [lo, hi] pair, got {pair!r}")
+        lo, hi = _as_number(pair[0]), _as_number(pair[1])
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
+            raise ValidationError(f"requires finite 0 <= lo <= hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
     """The (m, 2) interval weights, and the expert vectors they come from, if any."""
     _require(isinstance(data, dict), "subjective_weights must be an object")
@@ -351,18 +396,7 @@ def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | No
         intervals = data["intervals"]
         if not (isinstance(intervals, list) and len(intervals) == m):
             raise ValidationError(f"subjective_weights.intervals must list {m} [lo, hi] pairs")
-        rows = []
-        for attr_id, pair in zip(ids, intervals):
-            # the messages are formatted only on failure: a pair's repr costs
-            # more than its checks
-            with located(f"subjective weight for attribute {attr_id!r}"):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ValidationError(f"expected a [lo, hi] pair, got {pair!r}")
-                lo, hi = _as_number(pair[0]), _as_number(pair[1])
-                if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
-                    raise ValidationError(f"requires finite 0 <= lo <= hi, got [{lo}, {hi}]")
-            rows.append((lo, hi))
-        return np.array(rows, dtype=np.float64), None
+        return _parse_intervals(intervals, ids), None
     raise ValidationError(
         "subjective_weights must contain exactly one of 'experts' or 'intervals'"
     )
@@ -526,9 +560,11 @@ class _collector_paused:
     file. With the collector running, they set off dozens of collections
     during the decode; paused for the decode alone, the first allocation
     after it scans them all at once. Freed while the collector is paused,
-    they are never scanned. The caller's collector state is restored. A
-    class, not a ``contextlib`` generator, which cost a fighter solve about
-    7 µs.
+    they are never scanned. ``cli.main`` keeps it open through the pipeline
+    and the render as well, which make no garbage cycles; a json-report's
+    problem echo is thousands more acyclic containers. The caller's
+    collector state is restored. A class, not a ``contextlib`` generator,
+    which cost a fighter solve about 7 µs.
     """
 
     __slots__ = ("enabled",)

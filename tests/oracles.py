@@ -7,12 +7,13 @@ one-pass ``normalize_matrix`` replaced; it shares the term triangles and the
 interval rule's mantissa-and-exponent scaling, so it checks the one pass's
 vectorization and error order, not that scaling. ``exact_interval_rule``, the
 interval rule in ``Fraction`` arithmetic, checks the scaling.
-``loop_matrix_bounds``, ``loop_preferences`` and ``loop_experts`` are the
-cell-by-cell parse that the one-pass parse replaced; they share the per-cell,
-per-entry and per-vector validators, which the parse keeps as its error
-locators. ``loop_matrix_rows`` is the json-report's matrix echo built one
-column and one cell at a time, as before its cells were shared and gathered
-a kind at a time; it shares the label table. ``loop_render_text`` is the
+``loop_matrix_bounds``, ``loop_preferences``, ``loop_experts`` and
+``loop_intervals`` are the cell-by-cell parse that the one-pass parse
+replaced; they share the per-cell, per-entry, per-vector and per-pair
+validators, which the parse keeps as its error locators.
+``loop_matrix_rows`` is the json-report's matrix echo built one column and
+one cell at a time, as before its cells were shared and gathered a kind at
+a time; it shares the label table. ``loop_render_text`` is the
 text report formatted one cell at a time, padded with ``rjust`` and joined
 per row, as before each table was written from one row template.
 ``loop_render_csv`` is the CSV report with each row built from its keys and
@@ -37,7 +38,7 @@ from greyrank._kernels import _SLAB, distance_grid
 from greyrank.errors import DegenerateProblemError, ValidationError
 from greyrank.evaluate import METHODS
 from greyrank.normalize import _TRIANGLES, AttributeSpec
-from greyrank.problem import _parse_cell, _parse_expert, _parse_preference
+from greyrank.problem import _parse_cell, _parse_expert, _parse_interval, _parse_preference
 from greyrank.values import term_indices
 
 
@@ -342,6 +343,12 @@ def loop_preferences(entries: list, plans: list[str]) -> np.ndarray:
 def loop_experts(vectors: list, ids: list[str]) -> np.ndarray:
     """The (k, m) expert vectors, one vector at a time."""
     return np.array([_parse_expert(vec, i, ids) for i, vec in enumerate(vectors)],
+                    dtype=np.float64)
+
+
+def loop_intervals(intervals: list, ids: list[str]) -> np.ndarray:
+    """The (m, 2) subjective interval weights, one pair at a time."""
+    return np.array([_parse_interval(pair, attr_id) for attr_id, pair in zip(ids, intervals)],
                     dtype=np.float64)
 
 

@@ -737,9 +737,18 @@ def test_json_report_solves_decode_with_orjson(tmp_path, monkeypatch):
 def test_documents_are_decoded_and_parsed_with_the_collector_paused(tmp_path, monkeypatch, capsys):
     # the decoded document is freed before the collector resumes, and every
     # caller gets its own collector state back, also when the file is bad
+    # or the problem degenerate. A json-report solve runs no collection: the
+    # pause lasts through the render, whose echo is thousands of containers.
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    seen = []
+    degenerate = tmp_path / "degenerate.json"
+    data = copy.deepcopy(MINIMAL)
+    data["matrix"][0][1] = data["matrix"][1][1] = {"interval": [0, 0]}
+    data["attributes"][1]["direction"] = "benefit"
+    degenerate.write_text(json.dumps(data), encoding="utf-8")
+    tied = tmp_path / "tied90.json"
+    tied.write_text(json.dumps(tied_90_plan_document()), encoding="utf-8")
+    seen, collections = [], []
 
     def recording(parse):
         def parse_problem_dict(*args, **kwargs):
@@ -747,10 +756,14 @@ def test_documents_are_decoded_and_parsed_with_the_collector_paused(tmp_path, mo
             return parse(*args, **kwargs)
         return parse_problem_dict
 
+    def counting(phase, info):
+        collections.append(phase)
+
     monkeypatch.setattr(cli, "parse_problem_dict", recording(cli.parse_problem_dict))
     monkeypatch.setattr(greyrank.problem, "parse_problem_dict",
                         recording(greyrank.problem.parse_problem_dict))
     was = gc.isenabled()
+    gc.callbacks.append(counting)
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
@@ -760,11 +773,20 @@ def test_documents_are_decoded_and_parsed_with_the_collector_paused(tmp_path, mo
                 assert gc.isenabled() is enabled
                 assert main(["solve", str(bad), "--format", fmt]) == 2
                 assert gc.isenabled() is enabled
+                assert main(["solve", str(degenerate), "--format", fmt]) == 3
+                assert gc.isenabled() is enabled
+            gc.collect()
+            collections.clear()
+            assert main(["solve", str(tied), "--format", "json-report",
+                         "--out", str(tmp_path / "report")]) == 0
+            assert collections == []
+            assert gc.isenabled() is enabled
             assert parse_problem(fighter_problem_path()).n_plans == 5
             assert gc.isenabled() is enabled
     finally:
+        gc.callbacks.remove(counting)
         (gc.enable if was else gc.disable)()
-    assert seen == [False] * 6
+    assert seen == [False] * 12
     assert capsys.readouterr().err.count("invalid JSON") == 4
 
 

@@ -19,7 +19,7 @@ from greyrank import (
 from greyrank.normalize import AttributeSpec
 from greyrank.values import DEFAULT_ALIASES, canonical_labels
 
-from oracles import loop_experts, loop_matrix_bounds, loop_preferences
+from oracles import loop_experts, loop_intervals, loop_matrix_bounds, loop_preferences
 
 MINIMAL = {
     "schema": 1,
@@ -370,6 +370,23 @@ def test_canonical_columns_skip_the_per_cell_loop(monkeypatch):
     data["matrix"][1][2] = {"ling": "High"}
     assert parse_problem_dict(data).raw[:, 2].tolist() == [[3, 3], [3, 3]]
     assert calls == ["plan 'P1', attribute 'A3'", "plan 'P2', attribute 'A3'"]
+    # a kind that fails its pass is retried a column at a time: a {"real": v}
+    # cell sends only its column to the loop, and so does a descending interval
+    calls.clear()
+    data = column_document(["real", "interval", "interval", "real"], [
+        [1.0, {"interval": [1, 2]}, {"interval": [1, 2]}, {"real": 4.0}],
+        [2.0, {"interval": [3, 1]}, {"interval": [1, 2]}, 5.0],
+    ])
+    with pytest.raises(ValidationError) as caught:
+        parse_problem_dict(data)
+    assert str(caught.value) == "plan 'P2', attribute 'A2': interval bounds out of order: [3.0, 1.0]"
+    assert calls == ["plan 'P1', attribute 'A2'", "plan 'P1', attribute 'A4'",
+                     "plan 'P2', attribute 'A2'"]
+    calls.clear()
+    data["matrix"][1][1] = {"interval": [1, 3]}
+    assert parse_problem_dict(data).raw.tolist() == [
+        [[1, 1], [1, 2], [1, 2], [4, 4]], [[2, 2], [1, 3], [1, 2], [5, 5]]]
+    assert calls == ["plan 'P1', attribute 'A4'", "plan 'P2', attribute 'A4'"]
 
 
 # Cells of every shape the per-cell loop accepts or rejects. Aliases are given
@@ -412,7 +429,7 @@ CELLS = {
 }
 finite = st.one_of(st.floats(-1e6, 1e6), st.integers(-(10**6), 10**6))
 terms = st.sampled_from(canonical_labels())
-CLEAN = {  # cells every column fast path takes
+CLEAN = {  # cells every kind's one-pass check takes
     "real": finite,
     "interval": st.lists(finite, min_size=2, max_size=2).map(lambda b: {"interval": sorted(b)}),
     "linguistic": st.builds(lambda t: {"ling": t}, terms),
@@ -424,7 +441,7 @@ CLEAN = {  # cells every column fast path takes
 
 @st.composite
 def matrices(draw):
-    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))
     n = draw(st.integers(1, 4))
     columns = [
         draw(st.lists((CLEAN if draw(st.booleans()) else CELLS)[kind], min_size=n, max_size=n))
@@ -490,6 +507,17 @@ def assert_same_outcome(got, expected):
 @example((["real", "interval"], [[1.0, {"interval": [2, 1]}], [True, {"interval": [1, 2]}]], {}))
 @example((["real", "real"], [[True, 1.0], [1.0]], {}))
 @example((["real", "real"], [[1.0, 1.0], [1.0]], {}))
+# bad cells in two kinds: the first in row order is named, not the first kind's
+@example((["real", "interval", "real"],
+          [[1.0, {"interval": [1, 2]}, float("nan")], [2.0, {"interval": [3, 1]}, 3.0]], {}))
+@example((["real", "interval", "real"],
+          [[1.0, {"interval": [1, 2]}, True], [2.0, {"interval": [1]}, 3.0]], {}))
+# a kind that fails its pass in one column only
+@example((["interval", "interval"],
+          [[{"interval": [1, 2]}, {"interval": [1, 10**400]}],
+           [{"interval": [1, 2]}, {"interval": [1, 2]}]], {}))
+@example((["linguistic", "linguistic"],
+          [[{"ling": "high"}, {"ling": "High"}], [{"ling": "low"}, {"ling": "low"}]], {}))
 def test_bulk_parse_matches_the_per_cell_loop(case):
     kinds, matrix, aliases = case
     data = column_document(kinds, matrix, aliases)
@@ -550,3 +578,23 @@ def test_bulk_experts_match_the_per_vector_loop(vectors):
     ids = ["A1", "A2"]
     expected = outcome(loop_experts, vectors, ids)
     assert_same_outcome(outcome(greyrank.problem._parse_experts, vectors, ids), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.lists(weights, min_size=2, max_size=2),
+                          st.lists(st.one_of(weights, junk), min_size=1, max_size=3),
+                          junk), min_size=2, max_size=2))
+@example([[0.1, 0.2], [0.1, True]])
+@example([[0.1, 0.2], [0.1, "0.5"]])
+@example([[0.1, 0.2], [0.1, float("nan")]])
+@example([[0.1, 0.2], [0.1, 10**400]])
+@example([[0.1, 0.2], [0.1, float("inf")]])
+@example([[-0.0, 0.2], [0.1, 0.2]])
+@example([[0.1, 0.2], [0.3, 0.2]])
+@example([[0.1, 0.2], [0.1, 0.2, 0.3]])
+@example([[0.1, 0.2], (0.1, 0.2)])
+@example([[2**53 + 1, 2.0**53], [2**63 + 1, 2**64]])
+def test_bulk_intervals_match_the_per_pair_loop(intervals):
+    ids = ["A1", "A2"]
+    expected = outcome(loop_intervals, intervals, ids)
+    assert_same_outcome(outcome(greyrank.problem._parse_intervals, intervals, ids), expected)
