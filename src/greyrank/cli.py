@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         with _collector_paused():
-            data = _load_document(Path(args.file), use_orjson=args.format == "json-report")
+            data = _load_document(Path(args.file))
             if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
                 # A json-report was produced by us; solve its embedded problem.
                 data = data["problem"]
@@ -108,8 +108,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"greyrank: degenerate problem: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # greyrank has no recursion of its own: only decoding a deeply nested
-        # document, or quoting a deeply nested value in a message, gets here
+        # greyrank has no recursion of its own, and the decode reports a document
+        # nested too deeply itself: only quoting a deeply nested value in a
+        # message gets here
         print(f"greyrank: error: {args.file}: the document is nested too deeply", file=sys.stderr)
         return 2
 

@@ -278,26 +278,39 @@ def _parse_matrix(
     return raw
 
 
-def _parse_preferences(entries: list, plans: list[str]) -> np.ndarray:
-    """The (n, 4) preferences: one pass over all entries, or else one at a time."""
+def _number_rows(entries: list, width: int, ok, parse_entry, names: list[str]) -> np.ndarray:
+    """The (len(entries), width) float array of rows of numbers.
+
+    One pass checks that every entry is a list of ``width`` numbers, and that
+    ``ok(entries)``, the caller's range check, holds. Otherwise each entry
+    goes through ``parse_entry(entry, i, names)``, which names the first bad
+    one.
+    """
     try:
-        _only(entries, {list, tuple})
+        _only(entries, {list})
         _only(chain.from_iterable(entries), _NUMBER_TYPES)
-        # unpacking raises ValueError on an entry that is not a 4-tuple
-        if all(0 <= a <= b <= c <= d < math.inf for a, b, c, d in entries):
-            return np.array(entries, dtype=np.float64)
+        # raises ValueError on rows of unequal widths, and OverflowError on
+        # an integer too large for a float
+        rows = np.array(entries, dtype=np.float64)
+        if rows.shape[1] == width and ok(entries):
+            return rows
     except _NOT_BULK:
         pass
-    return np.array(
-        [_parse_preference(entry, f"preference for plan {plans[i]!r}")
-         for i, entry in enumerate(entries)],
-        dtype=np.float64,
+    return np.array([parse_entry(entry, i, names) for i, entry in enumerate(entries)],
+                    dtype=np.float64)
+
+
+def _parse_preferences(entries: list, plans: list[str]) -> np.ndarray:
+    """The (n, 4) preferences."""
+    return _number_rows(
+        entries, 4, lambda rows: all(0 <= a <= b <= c <= d < math.inf for a, b, c, d in rows),
+        _parse_preference, plans,
     )
 
 
-def _parse_preference(entry, where: str) -> list[float]:
-    """One ascending, finite, nonnegative 4-tuple of numbers."""
-    with located(where):
+def _parse_preference(entry, i: int, plans: list[str]) -> list[float]:
+    """Plan ``i``'s preference: one ascending, finite, nonnegative 4-tuple of numbers."""
+    with located(f"preference for plan {plans[i]!r}"):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
             raise ValidationError(f"expected 4 components, got {entry!r}")
         q = [_as_number(v) for v in entry]
@@ -323,19 +336,11 @@ def _parse_aliases(data) -> tuple[dict[str, str], dict[str, int]]:
 
 
 def _parse_experts(vectors: list, ids: list[str]) -> np.ndarray:
-    """The (k, m) expert vectors: one pass over all values, or else one vector at a time."""
-    try:
-        _only(vectors, {list})
-        if set(map(len, vectors)) == {len(ids)}:
-            _only(chain.from_iterable(vectors), _NUMBER_TYPES)
-            # raises OverflowError on an integer too large for a float
-            experts = np.array(vectors, dtype=np.float64)
-            if (experts >= 0).all() and np.isfinite(experts).all():
-                return experts
-    except _NOT_BULK:
-        pass
-    return np.array([_parse_expert(vec, i, ids) for i, vec in enumerate(vectors)],
-                    dtype=np.float64)
+    """The (k, m) expert vectors."""
+    return _number_rows(
+        vectors, len(ids), lambda rows: all(0 <= w < math.inf for w in chain.from_iterable(rows)),
+        _parse_expert, ids,
+    )
 
 
 def _parse_expert(vec, i: int, ids: list[str]) -> list[float]:
@@ -353,24 +358,16 @@ def _parse_expert(vec, i: int, ids: list[str]) -> list[float]:
 
 
 def _parse_intervals(intervals: list, ids: list[str]) -> np.ndarray:
-    """The (m, 2) subjective interval weights: one pass over all pairs, or
-    else one pair at a time."""
-    try:
-        _only(intervals, {list})
-        _only(chain.from_iterable(intervals), _NUMBER_TYPES)
-        # unpacking raises ValueError on a pair that is not two numbers
-        if all(0 <= lo <= hi < math.inf for lo, hi in intervals):
-            # raises OverflowError on an integer too large for a float
-            return np.array(intervals, dtype=np.float64)
-    except _NOT_BULK:
-        pass
-    return np.array([_parse_interval(pair, attr_id) for attr_id, pair in zip(ids, intervals)],
-                    dtype=np.float64)
+    """The (m, 2) subjective interval weights."""
+    return _number_rows(
+        intervals, 2, lambda rows: all(0 <= lo <= hi < math.inf for lo, hi in rows),
+        _parse_interval, ids,
+    )
 
 
-def _parse_interval(pair, attr_id: str) -> tuple[float, float]:
-    """The subjective weight of attribute ``attr_id``: finite ``0 <= lo <= hi``."""
-    with located(f"subjective weight for attribute {attr_id!r}"):
+def _parse_interval(pair, j: int, ids: list[str]) -> tuple[float, float]:
+    """The subjective weight of attribute ``j``: finite ``0 <= lo <= hi``."""
+    with located(f"subjective weight for attribute {ids[j]!r}"):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValidationError(f"expected a [lo, hi] pair, got {pair!r}")
         lo, hi = _as_number(pair[0]), _as_number(pair[1])
@@ -489,7 +486,7 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     _require("subjective_weights" in data, "subjective_weights is required")
     subjective, experts = _parse_subjective(data["subjective_weights"], ids)
     # all lower bounds zero make the composite weights' lower sum zero
-    _require((subjective[:, 0] > 0).any(), "subjective_weights: every lower bound is zero")
+    _require(subjective[:, 0].any(), "subjective_weights: every lower bound is zero")
 
     prefs_raw = data.get("preferences")
     if not (isinstance(prefs_raw, list) and len(prefs_raw) == n):
@@ -498,7 +495,8 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
 
     params, borda = _parse_params(data.get("params"))
 
-    name = data.get("name", Path(source).stem if source else "problem")
+    # the default is built only when needed: a Path is slow to build
+    name = data["name"] if "name" in data else Path(source).stem if source else "problem"
     _require(isinstance(name, str), "name must be a string")
     notes = data.get("notes")
     _require("notes" not in data or isinstance(notes, str), "notes must be a string")
@@ -521,24 +519,9 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     )
 
 
-def _load_document(path: Path, use_orjson: bool = False):
-    """Read a JSON file; unreadable files and invalid JSON raise ValidationError.
-
-    ``use_orjson`` is for json-report solves, which load orjson to write the
-    report anyway; it decodes faster than ``json.loads``. What it rejects
-    (``NaN`` and ``Infinity`` literals, numbers beyond the float range, lone
-    surrogates, a BOM, bytes that are not UTF-8, invalid JSON, unreadable
-    files) is read again below, so every error is that of ``json.loads``.
-    Both give equal values, but orjson reads an integer literal outside the
-    64-bit range as a float, so a message that quotes one spells a float.
-    """
-    if use_orjson:
-        import orjson
-
-        try:
-            return orjson.loads(path.read_bytes())
-        except (OSError, orjson.JSONDecodeError):
-            pass
+def _load_document(path: Path):
+    """Read a JSON file; unreadable files, invalid JSON and a document nested
+    past the recursion limit raise ValidationError."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -549,6 +532,8 @@ def _load_document(path: Path, use_orjson: bool = False):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: the document is nested too deeply") from exc
 
 
 class _collector_paused:

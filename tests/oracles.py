@@ -333,11 +333,8 @@ def loop_matrix_rows(problem) -> list:
 
 def loop_preferences(entries: list, plans: list[str]) -> np.ndarray:
     """The (n, 4) preferences, one entry at a time."""
-    return np.array(
-        [_parse_preference(entry, f"preference for plan {plans[i]!r}")
-         for i, entry in enumerate(entries)],
-        dtype=np.float64,
-    )
+    return np.array([_parse_preference(entry, i, plans) for i, entry in enumerate(entries)],
+                    dtype=np.float64)
 
 
 def loop_experts(vectors: list, ids: list[str]) -> np.ndarray:
@@ -348,7 +345,7 @@ def loop_experts(vectors: list, ids: list[str]) -> np.ndarray:
 
 def loop_intervals(intervals: list, ids: list[str]) -> np.ndarray:
     """The (m, 2) subjective interval weights, one pair at a time."""
-    return np.array([_parse_interval(pair, attr_id) for attr_id, pair in zip(ids, intervals)],
+    return np.array([_parse_interval(pair, j, ids) for j, pair in enumerate(intervals)],
                     dtype=np.float64)
 
 

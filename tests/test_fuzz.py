@@ -223,7 +223,8 @@ def test_mutated_fighter_solves_or_fails_located(tmp_path_factory, doc, fmt):
 @settings(max_examples=100, deadline=None)
 @given(mutated_fighters())
 def test_mutated_fighter_decodes_alike_in_every_format(tmp_path_factory, doc):
-    # json.dumps writes NaN, Infinity and 10**400 as literals orjson rejects
+    # json.dumps writes NaN, Infinity and 10**400 as literals; every format
+    # reads them, or fails on them, alike
     folder = tmp_path_factory.getbasetemp()
     path = folder / "decode.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -356,6 +356,14 @@ def test_parse_problem_from_file(tmp_path):
         parse_problem(tmp_path / "missing.json")
 
 
+def test_parse_problem_refuses_a_document_nested_past_the_recursion_limit(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema": 1, "notes": ' + "[" * 3000 + "]" * 3000 + "}", encoding="utf-8")
+    with pytest.raises(ValidationError) as caught:
+        parse_problem(path)
+    assert str(caught.value) == f"{path}: the document is nested too deeply"
+
+
 def test_canonical_columns_skip_the_per_cell_loop(monkeypatch):
     calls = []
     parse_cell = greyrank.problem._parse_cell
@@ -527,16 +535,49 @@ def test_bulk_parse_matches_the_per_cell_loop(case):
     assert_same_outcome(outcome(lambda: parse_problem_dict(data).raw), expected)
 
 
-entries = st.one_of(
-    st.lists(st.floats(0, 10), min_size=4, max_size=4).map(sorted),
-    st.lists(st.one_of(numbers, junk), min_size=3, max_size=5),
-    st.tuples(numbers, numbers, numbers, numbers),
-    numbers,
+weights = st.one_of(
+    st.floats(0, 2), st.integers(0, 3), st.sampled_from([-0.0, -0.5, float("nan"), 10**400]),
 )
 
 
+@st.composite
+def number_rows(draw):
+    """1 to 4 entries: rows of one width, all clean or mixed with rows of
+    any shape, type and value."""
+    width = draw(st.sampled_from([2, 4]))
+    clean = st.lists(st.floats(0, 10), min_size=width, max_size=width).map(sorted)
+    rows = st.one_of(
+        clean,
+        st.lists(weights, min_size=width, max_size=width),
+        st.lists(st.one_of(numbers, weights, junk), min_size=1, max_size=5),
+        st.tuples(*[numbers] * width),
+        numbers,
+        junk,
+    )
+    return draw(st.lists(clean if draw(st.booleans()) else rows, min_size=1, max_size=4))
+
+
+def _width_of_first(entries: list) -> int:
+    first = entries[0]
+    return len(first) if isinstance(first, (list, tuple)) and first else 2
+
+
+# Each use of the one-pass check, its per-entry reference loop, and the
+# names its messages quote: one plan per preference, one attribute per
+# weight of an expert vector, one attribute per subjective interval.
+NUMBER_ROW_USES = {
+    "preferences": (greyrank.problem._parse_preferences, loop_preferences,
+                    lambda entries: [f"P{i + 1}" for i in range(len(entries))]),
+    "experts": (greyrank.problem._parse_experts, loop_experts,
+                lambda entries: [f"A{j + 1}" for j in range(_width_of_first(entries))]),
+    "intervals": (greyrank.problem._parse_intervals, loop_intervals,
+                  lambda entries: [f"A{j + 1}" for j in range(len(entries))]),
+}
+
+
+@pytest.mark.parametrize("use", list(NUMBER_ROW_USES))
 @settings(max_examples=200, deadline=None)
-@given(st.lists(entries, min_size=1, max_size=4))
+@given(number_rows())
 @example([[0.1, 0.2, 0.3]])
 @example([[0.1, 0.2, 0.3, 0.4, 0.5]])
 @example([(0.1, 0.2, 0.3, 0.4), [0, 0, 0, 2**63 + 1]])
@@ -550,22 +591,6 @@ entries = st.one_of(
 @example([[0.1, 0.2, 0.3, True]])
 @example([[0.1, 0.2, 0.3, "0.4"]])
 @example([0.4])
-def test_bulk_preferences_match_the_per_entry_loop(preferences):
-    n = len(preferences)
-    data = column_document(["real"], [[1.0]] * n, preferences=preferences)
-    expected = outcome(loop_preferences, preferences, data["plans"])
-    assert_same_outcome(outcome(lambda: parse_problem_dict(data).preferences), expected)
-
-
-weights = st.one_of(
-    st.floats(0, 2), st.integers(0, 3), st.sampled_from([-0.0, -0.5, float("nan"), 10**400]),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.lists(weights, min_size=2, max_size=2),
-                          st.lists(st.one_of(weights, junk), min_size=1, max_size=3),
-                          junk), min_size=1, max_size=3))
 @example([[0.5, 0.5], [0.5, 0.5, 0.5]])
 @example([[0.5, 0.5], (0.5, 0.5)])
 @example([[-0.0, 0.0], [0.5, -0.5]])
@@ -574,16 +599,6 @@ weights = st.one_of(
 @example([[0.5, True]])
 @example([[0.5, "0.5"]])
 @example([0.5])
-def test_bulk_experts_match_the_per_vector_loop(vectors):
-    ids = ["A1", "A2"]
-    expected = outcome(loop_experts, vectors, ids)
-    assert_same_outcome(outcome(greyrank.problem._parse_experts, vectors, ids), expected)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.lists(weights, min_size=2, max_size=2),
-                          st.lists(st.one_of(weights, junk), min_size=1, max_size=3),
-                          junk), min_size=2, max_size=2))
 @example([[0.1, 0.2], [0.1, True]])
 @example([[0.1, 0.2], [0.1, "0.5"]])
 @example([[0.1, 0.2], [0.1, float("nan")]])
@@ -594,7 +609,8 @@ def test_bulk_experts_match_the_per_vector_loop(vectors):
 @example([[0.1, 0.2], [0.1, 0.2, 0.3]])
 @example([[0.1, 0.2], (0.1, 0.2)])
 @example([[2**53 + 1, 2.0**53], [2**63 + 1, 2**64]])
-def test_bulk_intervals_match_the_per_pair_loop(intervals):
-    ids = ["A1", "A2"]
-    expected = outcome(loop_intervals, intervals, ids)
-    assert_same_outcome(outcome(greyrank.problem._parse_intervals, intervals, ids), expected)
+def test_bulk_number_rows_match_the_per_entry_loop(use, entries):
+    parse, loop, names_of = NUMBER_ROW_USES[use]
+    names = names_of(entries)
+    expected = outcome(loop, entries, names)
+    assert_same_outcome(outcome(parse, entries, names), expected)
