@@ -37,8 +37,9 @@ class BordaConfig:
             raise ValidationError(f"method weights must be finite, got {w.tolist()}")
         if (w < 0).any():
             raise ValidationError("method weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValidationError(f"method weights must sum to 1, got {w.sum()}")
+        total = sum(w.tolist())  # a float sum overflows to inf without a warning
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"method weights must sum to 1, got {total}")
         if self.tie_break not in TIE_BREAKS:
             raise ValidationError(
                 f"unknown tie-break rule {self.tie_break!r}; expected one of {TIE_BREAKS}"
@@ -46,7 +47,7 @@ class BordaConfig:
 
 
 def weighted_borda(
-    scores: np.ndarray, config: BordaConfig | None = None
+    scores: np.ndarray, config: BordaConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rank each method's scores and fuse the four rankings by weighted Borda points.
 
@@ -60,7 +61,6 @@ def weighted_borda(
     returns ``(ranks, final_ranks, borda, tiebreak)``: the (4, n) per-method
     competition ranks, then three (n,) arrays.
     """
-    config = config or BordaConfig()
     n = scores.shape[1]
     ranks = np.array([scores_to_ranks(s) for s in scores])
     borda, tiebreak = np.zeros(n), np.zeros(n)

@@ -92,10 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         with _collector_paused():
-            data = _load_document(Path(args.file))
-            if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
-                # A json-report was produced by us; solve its embedded problem.
-                data = data["problem"]
+            data = _load_document(args.file)
             problem = _apply_overrides(parse_problem_dict(data, source=args.file), args)
             del data  # the problem holds everything a report needs
             # the pipeline and the render make no garbage cycles; a json-report

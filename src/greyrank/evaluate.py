@@ -166,14 +166,13 @@ def _scaled_pairs(
 
 
 def approach_with_preference(
-    gplus: np.ndarray, gminus: np.ndarray, params: MethodParams | None = None
+    gplus: np.ndarray, gminus: np.ndarray, params: MethodParams
 ) -> np.ndarray:
     """Grey approach degree with preference bias between the two ideals.
 
     C' = G+ * theta_plus / (G+ * theta_plus + G- * theta_minus); the boundary
     theta_plus=1 returns G+ itself (the ratio would degenerate to 1).
     """
-    params = params or MethodParams()
     if params.theta_minus == 0.0:
         return gplus.copy()
     gplus, gminus = _scaled_pairs(gplus, gminus, "grey approach degree")
@@ -219,8 +218,7 @@ def comprehensive_incidence(
 
 
 def score_all_methods(
-    y: np.ndarray, positive: np.ndarray, negative: np.ndarray,
-    params: MethodParams | None = None,
+    y: np.ndarray, positive: np.ndarray, negative: np.ndarray, params: MethodParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Run all four scoring methods on the weighted matrix.
 
@@ -230,7 +228,6 @@ def score_all_methods(
 
     Takes the weighted matrix and its ``ideal_vectors``, unchecked.
     """
-    params = params or MethodParams()
     # Every method is invariant to the scale of y. An exact power of two
     # keeps the squared distances of huge entries finite.
     e = -np.frexp(np.abs(y).max())[1]

@@ -27,8 +27,8 @@ written into every report, which is UTF-8, so none may hold a lone surrogate
 Every violation is reported with the plan/attribute location that caused it.
 The matrix is validated a cell kind at a time: one pass per check over all
 the cells of a kind, gathered in row order, then finiteness and order once
-over the whole matrix. A kind that fails is retried a column at a time, and
-the columns that still fail are validated cell by cell. The preferences,
+over the whole matrix. The columns of a kind that fails, and those with a
+non-finite or descending bound, are validated cell by cell. The preferences,
 expert vectors and subjective intervals are checked in one pass each, or
 else one entry at a time. The matrix is stored as one float array
 of bounds, :attr:`DecisionProblem.raw`, of shape (n, m, 2): ``(lo, hi)`` for
@@ -241,11 +241,10 @@ def _parse_matrix(
 ) -> np.ndarray:
     """The (len(rows), m, 2) bounds of well-shaped matrix rows, a kind at a time.
 
-    The columns of a kind that :func:`_bulk_bounds` rejects are retried one
-    at a time, and those it still rejects, or whose bounds are not finite
-    and in order, go through :func:`_parse_cell` in row-major order, so the
-    first bad cell raises the same located message as a cell-by-cell pass
-    would.
+    The columns of a kind that :func:`_bulk_bounds` rejects, and those whose
+    bounds are not finite and in order, go through :func:`_parse_cell` in
+    row-major order, so the first bad cell raises the same located message
+    as a cell-by-cell pass would.
     """
     k = len(rows)
     kinds: dict[str, list[int]] = {}
@@ -257,12 +256,8 @@ def _parse_matrix(
         try:
             parts.append(_bulk_bounds(rows, js, kind, terms))
         except _NOT_BULK:
-            for j in js:
-                try:
-                    parts.append(_bulk_bounds(rows, [j], kind, terms))
-                except _NOT_BULK:
-                    parts.append(np.zeros((k, 1, 2)))
-                    slow.append(j)
+            parts.append(np.zeros((k, len(js), 2)))
+            slow += js
     raw = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
     if order != sorted(order):
         raw = raw[:, np.argsort(order)]
@@ -388,7 +383,7 @@ def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | No
             "subjective_weights.experts must be a nonempty list of weight vectors",
         )
         experts = _parse_experts(vectors, ids)
-        return subjective_interval_weights(experts), experts
+        return subjective_interval_weights(experts, ids), experts
     if keys == {"intervals"}:
         intervals = data["intervals"]
         if not (isinstance(intervals, list) and len(intervals) == m):
@@ -519,21 +514,30 @@ def parse_problem_dict(data: dict, source: str = "<memory>") -> DecisionProblem:
     )
 
 
-def _load_document(path: Path):
-    """Read a JSON file; unreadable files, invalid JSON and a document nested
-    past the recursion limit raise ValidationError."""
+def _load_document(source: str):
+    """The problem document in the JSON file ``source``, or the problem a
+    json-report in it embeds.
+
+    An unreadable file, invalid JSON and a document nested past the
+    recursion limit raise ValidationError; every message, the OS error's
+    included, quotes ``source`` as given.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(source, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
-        raise ValidationError(f"cannot read problem file {path}: {exc}") from exc
+        raise ValidationError(f"{source}: cannot read problem file: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise ValidationError(f"{source}: not UTF-8 text: {exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+        raise ValidationError(f"{source}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ValidationError(f"{path}: the document is nested too deeply") from exc
+        raise ValidationError(f"{source}: the document is nested too deeply") from exc
+    if isinstance(data, dict) and "problem" in data and "final_ranking" in data:
+        return data["problem"]
+    return data
 
 
 class _collector_paused:
@@ -564,7 +568,7 @@ class _collector_paused:
 
 
 def parse_problem(path: str | Path) -> DecisionProblem:
-    """Load and validate a problem file."""
-    path = Path(path)
+    """Load and validate a problem file, or the problem a json-report embeds."""
+    source = str(path)
     with _collector_paused():
-        return parse_problem_dict(_load_document(path), source=str(path))
+        return parse_problem_dict(_load_document(source), source=source)

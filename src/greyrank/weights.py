@@ -33,29 +33,26 @@ __all__ = [
 ]
 
 
-def _weight_name(j: int, ids: Sequence[str] | None) -> str:
-    """Interval weight ``j``, named by its attribute id when ``ids`` are given."""
-    return f"interval weight {j}" if ids is None else f"interval weight of attribute {ids[j]!r}"
-
-
-def _interval_rows(w: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
-    """``w``, (m, 2) (lo, hi) rows, checked to be finite with 0 <= lo <= hi."""
+def _interval_rows(w: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+    """``w``, (m, 2) (lo, hi) rows, checked to be finite with 0 <= lo <= hi;
+    row ``j`` is the weight of attribute ``ids[j]``."""
     ok = np.isfinite(w).all(axis=1) & (0.0 <= w[:, 0]) & (w[:, 0] <= w[:, 1])
     if not ok.all():
         j = int(np.argmin(ok))
         raise ValidationError(
-            f"{_weight_name(j, ids)} needs finite 0 <= lo <= hi: {w[j].tolist()}"
+            f"interval weight of attribute {ids[j]!r} needs finite 0 <= lo <= hi: {w[j].tolist()}"
         )
     return w
 
 
-def subjective_interval_weights(expert_vectors: np.ndarray) -> np.ndarray:
+def subjective_interval_weights(expert_vectors: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     """Coordinatewise [min, max] envelope over the expert weight vectors, (m, 2).
 
-    Takes the (k, m) expert vectors ``parse_problem_dict`` reads, unchecked.
+    Takes the (k, m) expert vectors ``parse_problem_dict`` reads, unchecked,
+    and the ids of their attributes.
     """
     envelope = expert_vectors.min(axis=0), expert_vectors.max(axis=0)
-    return _interval_rows(np.column_stack(envelope))
+    return _interval_rows(np.column_stack(envelope), ids)
 
 
 def optimization_weights(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -112,25 +109,25 @@ def entropy_weight_table(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
 
 
 def comprehensive_objective(
-    beta_opt: np.ndarray, beta_ent: np.ndarray, ids: Sequence[str] | None = None
+    beta_opt: np.ndarray, beta_ent: np.ndarray, ids: Sequence[str]
 ) -> np.ndarray:
     """Envelope [min, max] over the five objective weight candidates, (m, 2).
 
     Takes the two objective weightings of one matrix. Errors name attribute
-    ``ids[j]`` when ``ids`` are given, else index j.
+    ``ids[j]``.
     """
     cand = np.vstack([beta_opt[None, :], beta_ent])
     return _interval_rows(np.column_stack((cand.min(axis=0), cand.max(axis=0))), ids)
 
 
-def final_weights(alpha, beta, ids: Sequence[str] | None = None) -> np.ndarray:
+def final_weights(alpha, beta, ids: Sequence[str]) -> np.ndarray:
     """Normalized interval product of subjective and objective weights, (m, 2).
 
     Outer-bound interval division: lower bounds over the sum of upper
     products, upper bounds over the sum of lower products, so every crisp
     instantiation of the inputs lands inside the output intervals. An upper
     bound too large for a float is degenerate. Errors name attribute
-    ``ids[j]`` when ``ids`` are given, else index j.
+    ``ids[j]``.
 
     Takes ``problem.subjective`` and the ``comprehensive_objective`` envelope.
     """
@@ -154,6 +151,6 @@ def final_weights(alpha, beta, ids: Sequence[str] | None = None) -> np.ndarray:
     if not np.isfinite(hi).all():
         j = int(np.argmin(np.isfinite(hi)))
         raise DegenerateProblemError(
-            f"{_weight_name(j, ids)}: the upper bound exceeds the largest float"
+            f"interval weight of attribute {ids[j]!r}: the upper bound exceeds the largest float"
         )
     return _interval_rows(np.column_stack((np.ldexp(prod_lo / den_hi, e_lo - e_hi), hi)), ids)

@@ -35,6 +35,9 @@ def test_borda_config_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="finite"):
             BordaConfig(method_weights=(bad, 0.5, 0.25, 0.25))
+    # finite weights whose sum overflows are refused without a RuntimeWarning
+    with pytest.raises(ValidationError, match="must sum to 1, got inf"):
+        BordaConfig(method_weights=(0.0, 0.0, 1.7e308, 1.7e308))
     with pytest.raises(ValidationError):
         BordaConfig(tie_break="coin-flip")
 

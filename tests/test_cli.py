@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 import greyrank.problem
-from greyrank import DecisionProblem, fighter_problem_path, parse_problem, parse_problem_dict
+from greyrank import (
+    DecisionProblem,
+    ValidationError,
+    fighter_problem_path,
+    parse_problem,
+    parse_problem_dict,
+)
 from greyrank import cli, pipeline
 from greyrank.cli import main
 from greyrank.report import render_json
@@ -109,14 +115,40 @@ def test_json_report_echo_parses_to_an_equal_problem(tmp_path, capsysbinary, mak
     report_file.write_bytes(first)
     rc, second, _ = run(capsysbinary, "solve", report_file, "--format", "json-report")
     assert rc == 0 and second == first
-    original = parse_problem(path)
-    echoed = parse_problem_dict(json.loads(first)["problem"])
+    assert_same_problem(parse_problem_dict(json.loads(first)["problem"]), parse_problem(path))
+
+
+def assert_same_problem(got: DecisionProblem, want: DecisionProblem) -> None:
     for field in dataclasses.fields(DecisionProblem):
-        want, got = getattr(original, field.name), getattr(echoed, field.name)
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want), field.name
+        value, expected = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(value, expected), field.name
         else:
-            assert got == want, field.name
+            assert value == expected, field.name
+
+
+def test_parse_problem_reads_a_json_report_as_its_problem(tmp_path):
+    report_file = tmp_path / "report.json"
+    assert main(["solve", str(fighter_problem_path()), "--format", "json-report",
+                 "--out", str(report_file)]) == 0
+    assert_same_problem(parse_problem(report_file), parse_problem(fighter_problem_path()))
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"[1]", None],
+                         ids=["invalid-json", "not-an-object", "missing"])
+def test_messages_quote_the_problem_file_as_given(tmp_path, monkeypatch, capsysbinary, content):
+    # the CLI and parse_problem load a file one way: each message begins with
+    # the path as given, ./ included, and so does the OS error's text
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / "x.json").write_bytes(content)
+    with pytest.raises(ValidationError) as caught:
+        parse_problem("./x.json")
+    message = str(caught.value)
+    assert message.startswith("./x.json: ")
+    assert message.count("x.json") == message.count("./x.json")
+    rc, out, err = run(capsysbinary, "solve", "./x.json")
+    assert (rc, out, err) == (2, b"", f"greyrank: error: {message}\n".encode())
 
 
 def test_out_flag_writes_file(toy_file, tmp_path, capsysbinary):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greyrank import DegenerateProblemError, MethodParams, ValidationError
+from greyrank import BordaConfig, DegenerateProblemError, MethodParams, ValidationError
 from greyrank._kernels import distance_grid
 from greyrank.aggregate import weighted_borda
 from greyrank.evaluate import (
@@ -207,7 +207,8 @@ def test_approach_degree_hand_cases():
 def test_approach_degree_of_tiny_degrees_is_scale_free():
     # G * theta underflows to 0 on both sides of the ratio; the ratio must not
     params = MethodParams(theta_plus=0.3, theta_minus=0.7)
-    np.testing.assert_array_equal(approach_with_preference([5e-324], [5e-324]), [0.5])
+    even = MethodParams()
+    np.testing.assert_array_equal(approach_with_preference([5e-324], [5e-324], even), [0.5])
     tiny = 2.0**-1070
     np.testing.assert_allclose(
         approach_with_preference([3 * tiny, tiny], [tiny, 3 * tiny], params),
@@ -224,7 +225,7 @@ def test_approach_degree_of_zero_incidence_is_zero():
 
 def test_approach_degree_zero_pair_names_its_row():
     with pytest.raises(DegenerateProblemError, match="row 0"):
-        approach_with_preference([0.0, 0.5], [0.0, 0.5])
+        approach_with_preference([0.0, 0.5], [0.0, 0.5], MethodParams())
 
 
 def test_membership_hand_case():
@@ -293,7 +294,7 @@ def test_score_all_methods_fixed_order_and_extras():
         "max-entropy",
     ]
     assert scores.shape == (len(METHODS), 5)
-    for s, ranks in zip(scores, weighted_borda(scores)[0]):
+    for s, ranks in zip(scores, weighted_borda(scores, BordaConfig())[0]):
         assert (s >= 0).all() and (s <= 1).all()
         assert sorted(ranks) == sorted(range(1, 6)) or len(set(ranks)) < 5
     assert 0 < beta1 < 1
@@ -305,7 +306,7 @@ def test_score_all_methods_fixed_order_and_extras():
 def test_identical_plans_tie_in_every_method():
     y = np.tile(np.array([0.1, 0.2, 0.3, 0.4]), (4, 3, 1))
     scores = score_all_methods(y, *ideal_vectors(y), MethodParams())[0]
-    for s, ranks in zip(scores, weighted_borda(scores)[0]):
+    for s, ranks in zip(scores, weighted_borda(scores, BordaConfig())[0]):
         np.testing.assert_allclose(s, np.full(4, s[0]))
         assert (ranks == 1).all()
 
@@ -320,7 +321,7 @@ def test_all_scores_bounded(n, m, seed):
     rng = np.random.default_rng(seed)
     y = random_generalized_matrix(rng, n, m)
     scores = score_all_methods(y, *ideal_vectors(y), MethodParams())[0]
-    for s, ranks in zip(scores, weighted_borda(scores)[0]):
+    for s, ranks in zip(scores, weighted_borda(scores, BordaConfig())[0]):
         assert (s >= -1e-12).all() and (s <= 1 + 1e-12).all()
         assert ranks.min() == 1
         assert ranks.max() <= n

@@ -378,8 +378,9 @@ def test_canonical_columns_skip_the_per_cell_loop(monkeypatch):
     data["matrix"][1][2] = {"ling": "High"}
     assert parse_problem_dict(data).raw[:, 2].tolist() == [[3, 3], [3, 3]]
     assert calls == ["plan 'P1', attribute 'A3'", "plan 'P2', attribute 'A3'"]
-    # a kind that fails its pass is retried a column at a time: a {"real": v}
-    # cell sends only its column to the loop, and so does a descending interval
+    # a kind that fails its pass sends all its columns to the loop: a
+    # {"real": v} cell sends both real columns, and a descending interval
+    # only its own column
     calls.clear()
     data = column_document(["real", "interval", "interval", "real"], [
         [1.0, {"interval": [1, 2]}, {"interval": [1, 2]}, {"real": 4.0}],
@@ -388,13 +389,15 @@ def test_canonical_columns_skip_the_per_cell_loop(monkeypatch):
     with pytest.raises(ValidationError) as caught:
         parse_problem_dict(data)
     assert str(caught.value) == "plan 'P2', attribute 'A2': interval bounds out of order: [3.0, 1.0]"
-    assert calls == ["plan 'P1', attribute 'A2'", "plan 'P1', attribute 'A4'",
+    assert calls == ["plan 'P1', attribute 'A1'", "plan 'P1', attribute 'A2'",
+                     "plan 'P1', attribute 'A4'", "plan 'P2', attribute 'A1'",
                      "plan 'P2', attribute 'A2'"]
     calls.clear()
     data["matrix"][1][1] = {"interval": [1, 3]}
     assert parse_problem_dict(data).raw.tolist() == [
         [[1, 1], [1, 2], [1, 2], [4, 4]], [[2, 2], [1, 3], [1, 2], [5, 5]]]
-    assert calls == ["plan 'P1', attribute 'A4'", "plan 'P2', attribute 'A4'"]
+    assert calls == ["plan 'P1', attribute 'A1'", "plan 'P1', attribute 'A4'",
+                     "plan 'P2', attribute 'A1'", "plan 'P2', attribute 'A4'"]
 
 
 # Cells of every shape the per-cell loop accepts or rejects. Aliases are given

@@ -283,3 +283,28 @@ def test_fighter_reports_match_golden(name):
     assert emit_report(report, "text") == (GOLDEN / f"{name}.txt").read_bytes()
     assert emit_report(report, "csv") == (GOLDEN / f"{name}.csv").read_bytes()
     assert emit_report(report, "json-report") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+DEVIATION_NOTE = b"deviation-based weights degenerate (all plans identical); used uniform weights instead"
+SINGLE_PLAN_NOTE = b"single plan: entropy weights fall back to uniform"
+FLAT_NOTE = b"all attribute columns are flat: entropy weights fall back to uniform"
+
+
+@pytest.mark.parametrize("n, entropy_note", [(1, SINGLE_PLAN_NOTE), (5, FLAT_NOTE)],
+                         ids=["fighter-G1-alone", "fighter-rows-all-G1"])
+def test_fallback_notes_render_byte_for_byte(n, entropy_note):
+    # fighter's plan G1 alone, or five plans that each equal it: one deviation
+    # note, then one entropy note per tuple component, in every format
+    doc = json.loads(fighter_problem_path().read_text(encoding="utf-8"))
+    doc.update(plans=doc["plans"][:n], matrix=[doc["matrix"][0]] * n,
+               preferences=[doc["preferences"][0]] * n)
+    report = run_pipeline(parse_problem_dict(doc))
+    notes = [DEVIATION_NOTE] + [entropy_note] * 4
+    text = emit_report(report, "text")
+    assert text.count(b"\nnotes:\n") == 1
+    assert b"=cost\nnotes:\n" + b"".join(b"  - %s\n" % note for note in notes) \
+        + b"\ninterval weights (subjective x objective):\n" in text
+    csv_bytes = emit_report(report, "csv")
+    assert csv_bytes.count(b"\nnote,") == 5
+    assert b"".join(b"\nnote,%s" % note for note in notes) + b"\n\n# attributes\n" in csv_bytes
+    assert b'"notes":["' + b'","'.join(notes) + b'"]' in emit_report(report, "json-report")

@@ -3,7 +3,8 @@
 ``perfbench/child.py`` lists them in ``TRACED``; a refactor that drops or
 renames one would break ``python3 perfbench/run.py --trace 1``. The file is
 read and executed here without writing anything next to it. The package's
-public names, and the fields of ``Report``, are the ones the README lists.
+public names, and the fields of ``Report`` and ``DecisionProblem``, are the
+ones the README lists.
 """
 
 import dataclasses
@@ -14,6 +15,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import greyrank
 from greyrank import cli, fighter_problem_path, parse_problem
@@ -90,11 +93,19 @@ def test_public_names_are_the_readme_list_and_resolve():
     names = {re.match(r"\w+", quoted).group() for quoted in re.findall(r"`([^`]+)`", listed)}
     assert len(names) == 15
     assert sorted(greyrank.__all__) == sorted(names)
-    fields = text.split("`Report` has exactly these fields, in order:\n\n")[1].split("\n\n")[0]
-    assert re.findall(r"^- `(\w+)`", fields, re.M) == [
-        field.name for field in dataclasses.fields(greyrank.Report)]
     modules = [greyrank] + [importlib.import_module(f"greyrank.{info.name}")
                             for info in pkgutil.iter_modules(greyrank.__path__)]
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("cls", [greyrank.Report, greyrank.DecisionProblem],
+                         ids=["Report", "DecisionProblem"])
+def test_readme_field_lists_are_the_dataclass_fields(cls):
+    text = README.read_text(encoding="utf-8")
+    header = f"`{cls.__name__}` has exactly these fields, in order:\n\n"
+    assert text.count(header) == 1
+    listed = text.split(header)[1].split("\n\n")[0]
+    assert re.findall(r"^- `(\w+)`", listed, re.M) == [
+        field.name for field in dataclasses.fields(cls)]

@@ -164,8 +164,8 @@ def test_interval_weight_bounds():
         doc["subjective_weights"] = {"intervals": [bad]}
         with pytest.raises(ValidationError, match="subjective weight for attribute 'A'"):
             parse_problem_dict(doc)
-        with pytest.raises(ValidationError, match="interval weight 0"):
-            final_weights(np.array([bad]), np.array([[0.5, 0.5]]))
+        with pytest.raises(ValidationError, match="interval weight of attribute 'A'"):
+            final_weights(np.array([bad]), np.array([[0.5, 0.5]]), ["A"])
 
 
 def dist(a, b):

@@ -26,15 +26,15 @@ from test_problem_io import fighter_document
 
 
 def test_subjective_envelope_hand_case():
-    alpha = subjective_interval_weights(np.array([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]]))
+    alpha = subjective_interval_weights(np.array([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]]), ["A", "B", "C"])
     assert alpha.tolist() == [[0.4, 0.5], [0.3, 0.4], [0.2, 0.2]]
 
 
 def test_subjective_envelope_validation():
     with pytest.raises(ValidationError):
-        subjective_interval_weights(np.array([[0.5, np.nan]]))
-    with pytest.raises(ValidationError, match="interval weight 1"):
-        subjective_interval_weights(np.array([[0.5, -0.1], [0.4, 0.2]]))
+        subjective_interval_weights(np.array([[0.5, np.nan]]), ["A", "B"])
+    with pytest.raises(ValidationError, match="interval weight of attribute 'B'"):
+        subjective_interval_weights(np.array([[0.5, -0.1], [0.4, 0.2]]), ["A", "B"])
 
 
 def test_deviation_totals_match_brute_force():
@@ -154,14 +154,14 @@ def test_entropy_weights_permutation_equivariant():
 def test_comprehensive_objective_envelope():
     beta_opt = np.array([0.5, 0.5])
     beta_ent = np.array([[0.2, 0.8], [0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
-    env = comprehensive_objective(beta_opt, beta_ent)
+    env = comprehensive_objective(beta_opt, beta_ent, ["A", "B"])
     assert env.tolist() == [[0.2, 0.6], [0.4, 0.8]]
 
 
 def test_final_weights_hand_case():
     alpha = np.array([[0.4, 0.6], [0.4, 0.6]])
     beta = np.array([[0.5, 0.5], [0.5, 0.5]])
-    w = final_weights(alpha, beta)
+    w = final_weights(alpha, beta, ["A", "B"])
     # lower = 0.2 / 0.6, upper = 0.3 / 0.4
     np.testing.assert_allclose(w, [(1 / 3, 0.75), (1 / 3, 0.75)])
 
@@ -174,7 +174,8 @@ def test_final_weights_contain_crisp_quotients():
         hi_a = lo_a + rng.random(m) * 0.5
         lo_b = rng.random(m) * 0.5 + 0.01
         hi_b = lo_b + rng.random(m) * 0.5
-        w = final_weights(np.column_stack((lo_a, hi_a)), np.column_stack((lo_b, hi_b)))
+        ids = [f"A{j}" for j in range(m)]
+        w = final_weights(np.column_stack((lo_a, hi_a)), np.column_stack((lo_b, hi_b)), ids)
         # any crisp choice inside the input intervals must land inside w
         for _ in range(10):
             a = lo_a + rng.random(m) * (hi_a - lo_a)
@@ -187,14 +188,16 @@ def test_final_weights_contain_crisp_quotients():
 
 def test_final_weights_degenerate_zero_denominator():
     with pytest.raises(DegenerateProblemError):
-        final_weights(np.array([[0.0, 0.0]]), np.array([[0.5, 0.5]]))
+        final_weights(np.array([[0.0, 0.0]]), np.array([[0.5, 0.5]]), ["A"])
 
 
 def test_final_weights_degenerate_names_the_bound():
     # only the second attribute has a positive subjective lower bound, and its
     # objective lower bound is zero
     with pytest.raises(DegenerateProblemError, match="its lower subjective_weights bound"):
-        final_weights(np.array([[0.0, 0.1], [0.1, 0.2]]), np.array([[0.5, 0.5], [0.0, 0.5]]))
+        final_weights(
+            np.array([[0.0, 0.1], [0.1, 0.2]]), np.array([[0.5, 0.5], [0.0, 0.5]]), ["A", "B"]
+        )
 
 
 def test_final_weights_scale_each_bound_on_its_own():
@@ -202,7 +205,7 @@ def test_final_weights_scale_each_bound_on_its_own():
     # and keep only about 17 bits; here each column has its own scale
     alpha = np.array([[1e-10, 1.7e308], [1e-10, 1e-10]])
     beta = np.array([[1e-20, 1e-20], [0.5, 0.5]])
-    w = final_weights(alpha, beta)
+    w = final_weights(alpha, beta, ["A", "B"])
     np.testing.assert_allclose(w[0, 1], 1.7e288 / 5e-11, rtol=1e-14)
     np.testing.assert_allclose(w[1, 0], 5e-11 / 1.7e288, rtol=1e-14)
 
