@@ -125,7 +125,7 @@ def topsis_scores(dplus: np.ndarray, dminus: np.ndarray) -> np.ndarray:
     return np.where(total > 0, dneg / np.where(total > 0, total, 1.0), 0.5)
 
 
-def incidence_coefficients(d: np.ndarray, rho: float = 0.5) -> np.ndarray:
+def incidence_coefficients(d: np.ndarray, rho: float) -> np.ndarray:
     """Deng incidence coefficient of every cell of the (n, m) distance grid ``d``.
 
     r = (d_min + rho * d_max) / (d + rho * d_max), with d_min and d_max taken

@@ -81,7 +81,7 @@ def run_pipeline(problem: DecisionProblem) -> Report:
             beta_ent, entropy_notes = entropy_weight_table(x)
             notes += entropy_notes
             ids = [a.id for a in problem.attributes]
-            beta_interval = comprehensive_objective(beta_opt, beta_ent, ids)
+            beta_interval = comprehensive_objective(beta_opt, beta_ent)
             w_final = final_weights(problem.subjective, beta_interval, ids)
 
         with located("stage evaluate"):

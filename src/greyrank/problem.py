@@ -383,7 +383,7 @@ def _parse_subjective(data, ids: list[str]) -> tuple[np.ndarray, np.ndarray | No
             "subjective_weights.experts must be a nonempty list of weight vectors",
         )
         experts = _parse_experts(vectors, ids)
-        return subjective_interval_weights(experts, ids), experts
+        return subjective_interval_weights(experts), experts
     if keys == {"intervals"}:
         intervals = data["intervals"]
         if not (isinstance(intervals, list) and len(intervals) == m):

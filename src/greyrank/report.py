@@ -28,7 +28,7 @@ import io
 
 import numpy as np
 
-from .errors import DegenerateProblemError, ValidationError
+from .errors import ValidationError
 from .evaluate import METHODS
 from .pipeline import Report
 from .problem import DecisionProblem
@@ -233,15 +233,6 @@ def render_json(report: Report) -> bytes:
     import orjson  # loaded here, so that importing the CLI or a text or CSV solve never does
 
     problem = report.problem
-    # orjson writes NaN and inf as null. Every other float array is finite by
-    # an upstream check; the weighted matrix, and the ideals taken from it,
-    # are finite only because scoring them succeeded, so they are checked here.
-    if not np.isfinite(report.weighted).all():
-        i, j = np.argwhere(~np.isfinite(report.weighted))[0, :2]
-        raise DegenerateProblemError(
-            f"plan {problem.plans[i]!r}, attribute {problem.attributes[j].id!r}: "
-            f"weighted value {report.weighted[i, j].tolist()} is not finite"
-        )
     doc = {
         "schema": 1,
         "name": problem.name,
@@ -302,7 +293,7 @@ def render_json(report: Report) -> bytes:
     return orjson.dumps(doc, default=np.ndarray.tolist, option=options)
 
 
-def emit_report(report: Report, fmt: str = "text") -> bytes:
+def emit_report(report: Report, fmt: str) -> bytes:
     """Render ``report`` in the requested format and return UTF-8 bytes."""
     if fmt == "json-report":
         return render_json(report)

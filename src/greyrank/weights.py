@@ -12,7 +12,10 @@ subjective and objective. ``run_pipeline`` keeps the derived weights as the
 ``Report``; the subjective ones are ``problem.subjective``. Both objective
 weightings return ``(weights, notes)``: a weighting without signal falls back
 to uniform, with a note. Each function takes what parsing or the step before
-it produces and checks its shape no more.
+it produces and checks its shape no more. Every interval weight this module
+derives is a (lo, hi) row with 0 <= lo <= hi by construction, unchecked: an
+envelope is the min and max of nonnegative weights, and ``final_weights``
+lifts an upper bound that underflows below its lower bound to it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import pairwise_deviation_sums
-from .errors import DegenerateProblemError, ValidationError
+from .errors import DegenerateProblemError
 
 __all__ = [
     "comprehensive_objective",
@@ -33,26 +36,12 @@ __all__ = [
 ]
 
 
-def _interval_rows(w: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-    """``w``, (m, 2) (lo, hi) rows, checked to be finite with 0 <= lo <= hi;
-    row ``j`` is the weight of attribute ``ids[j]``."""
-    ok = np.isfinite(w).all(axis=1) & (0.0 <= w[:, 0]) & (w[:, 0] <= w[:, 1])
-    if not ok.all():
-        j = int(np.argmin(ok))
-        raise ValidationError(
-            f"interval weight of attribute {ids[j]!r} needs finite 0 <= lo <= hi: {w[j].tolist()}"
-        )
-    return w
-
-
-def subjective_interval_weights(expert_vectors: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+def subjective_interval_weights(expert_vectors: np.ndarray) -> np.ndarray:
     """Coordinatewise [min, max] envelope over the expert weight vectors, (m, 2).
 
-    Takes the (k, m) expert vectors ``parse_problem_dict`` reads, unchecked,
-    and the ids of their attributes.
+    Takes the (k, m) expert vectors ``parse_problem_dict`` reads, unchecked.
     """
-    envelope = expert_vectors.min(axis=0), expert_vectors.max(axis=0)
-    return _interval_rows(np.column_stack(envelope), ids)
+    return np.column_stack((expert_vectors.min(axis=0), expert_vectors.max(axis=0)))
 
 
 def optimization_weights(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -108,16 +97,13 @@ def entropy_weight_table(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return table, notes * int(flat.sum())
 
 
-def comprehensive_objective(
-    beta_opt: np.ndarray, beta_ent: np.ndarray, ids: Sequence[str]
-) -> np.ndarray:
+def comprehensive_objective(beta_opt: np.ndarray, beta_ent: np.ndarray) -> np.ndarray:
     """Envelope [min, max] over the five objective weight candidates, (m, 2).
 
-    Takes the two objective weightings of one matrix. Errors name attribute
-    ``ids[j]``.
+    Takes the two objective weightings of one matrix, unchecked.
     """
     cand = np.vstack([beta_opt[None, :], beta_ent])
-    return _interval_rows(np.column_stack((cand.min(axis=0), cand.max(axis=0))), ids)
+    return np.column_stack((cand.min(axis=0), cand.max(axis=0)))
 
 
 def final_weights(alpha, beta, ids: Sequence[str]) -> np.ndarray:
@@ -129,9 +115,9 @@ def final_weights(alpha, beta, ids: Sequence[str]) -> np.ndarray:
     bound too large for a float is degenerate. Errors name attribute
     ``ids[j]``.
 
-    Takes ``problem.subjective`` and the ``comprehensive_objective`` envelope.
+    Takes ``problem.subjective`` and the ``comprehensive_objective`` envelope,
+    unchecked.
     """
-    alpha, beta = _interval_rows(alpha, ids), _interval_rows(beta, ids)
     # Scaling a column of alpha by a power of two scales each quotient it
     # enters by that power, exactly unless it underflows; the powers are
     # undone at the end. One power per column, not one for all of alpha, keeps
@@ -153,4 +139,7 @@ def final_weights(alpha, beta, ids: Sequence[str]) -> np.ndarray:
         raise DegenerateProblemError(
             f"interval weight of attribute {ids[j]!r}: the upper bound exceeds the largest float"
         )
-    return _interval_rows(np.column_stack((np.ldexp(prod_lo / den_hi, e_lo - e_hi), hi)), ids)
+    lo = np.ldexp(prod_lo / den_hi, e_lo - e_hi)
+    # Exactly, hi >= lo. The two columns are scaled by different powers, so
+    # at the float edges a computed upper bound can underflow below its lower.
+    return np.column_stack((lo, np.maximum(lo, hi)))

@@ -28,6 +28,8 @@ def test_competition_ranks_match_loop_oracle(scores):
 
 def test_borda_config_validation():
     BordaConfig()
+    with pytest.raises(ValidationError, match="expected 4 method weights, got 3"):
+        BordaConfig(method_weights=(0.5, 0.25, 0.25))
     with pytest.raises(ValidationError):
         BordaConfig(method_weights=(0.5, 0.5, 0.5, 0.5))
     with pytest.raises(ValidationError):

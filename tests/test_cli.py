@@ -617,6 +617,17 @@ def test_overflowing_final_weight_names_the_attribute(tmp_path, capsysbinary):
     )
 
 
+def test_final_upper_bound_that_underflows_keeps_its_lower_bound(tmp_path, capsysbinary):
+    # the two final-weight columns are scaled by different powers of two: A1's
+    # upper bound puts A5's scaled upper product below the smallest float,
+    # while its lower product stays above it
+    data = fighter_document()
+    data["subjective_weights"]["intervals"][0] = [0.2305, 3e25]
+    data["subjective_weights"]["intervals"][4] = [6e-298, 6e-298]
+    lo, hi = np.array(solve_json(capsysbinary, tmp_path, data)["weights"]["final"]).T
+    assert (lo <= hi).all()
+
+
 def test_identical_plans_still_rank(tmp_path, capsysbinary):
     data = copy.deepcopy(MINIMAL)
     data["matrix"][1] = copy.deepcopy(data["matrix"][0])

@@ -136,7 +136,9 @@ def test_plan_that_is_not_a_string_is_refused(plans):
     ({"attributes": []}, "attributes must be a nonempty list"),
     ({"subjective_weights": {"experts": []}},
      "subjective_weights.experts must be a nonempty list of weight vectors"),
-], ids=["plans", "attributes", "experts"])
+    ({"subjective_weights": {"intervals": []}},
+     "subjective_weights.intervals must list 4 [lo, hi] pairs"),
+], ids=["plans", "attributes", "experts", "intervals"])
 def test_empty_lists_are_refused(changes, message):
     with pytest.raises(ValidationError) as err:
         parse_problem_dict(toy(**changes))
@@ -320,6 +322,12 @@ def test_attribute_id_must_be_a_string():
     data = toy()
     data["attributes"][1]["id"] = ["x"]
     with pytest.raises(ValidationError, match="attribute 1: id must be a string"):
+        parse_problem_dict(data)
+    del data["attributes"][1]["id"]
+    with pytest.raises(ValidationError, match="^attribute 1 must carry id, kind, and direction$"):
+        parse_problem_dict(data)
+    data["attributes"][1].update(id="A2", unit="t")
+    with pytest.raises(ValidationError, match=r"^attribute 1: unknown keys \['unit'\]$"):
         parse_problem_dict(data)
 
 

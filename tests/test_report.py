@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greyrank import (
-    DegenerateProblemError,
     ValidationError,
     emit_report,
     fighter_problem_path,
@@ -141,15 +140,6 @@ def test_json_report_floats_read_back_exactly():
         assert got["scores"] == scores.tolist() and got["ranks"] == ranks.tolist()
     assert [out["incidence"]["beta1"], out["incidence"]["beta2"]] == [
         report.beta1, report.beta2]
-
-
-def test_json_report_refuses_a_non_finite_weighted_value(toy_report):
-    # orjson would write it as null; the report names the cell instead
-    weighted = toy_report.weighted.copy()
-    weighted[1, 2, 3] = np.inf
-    with pytest.raises(DegenerateProblemError,
-                       match=r"plan 'P2', attribute 'A3': weighted value \[.*inf\] is not"):
-        render_json(dataclasses.replace(toy_report, weighted=weighted))
 
 
 def test_json_report_writes_arrays_that_are_not_c_contiguous(toy_report):

@@ -9,7 +9,6 @@ from greyrank import ValidationError, parse_problem_dict
 from greyrank._kernels import distance_grid
 from greyrank.normalize import AttributeSpec, normalize_matrix
 from greyrank.values import canonical_labels, term_index, term_indices, term_to_triangle
-from greyrank.weights import final_weights
 
 
 def one_column_doc(kind, cells, direction="benefit"):
@@ -155,8 +154,7 @@ def test_generalized_value_rejects_disorder():
 
 
 def test_interval_weight_bounds():
-    # interval weights are (lo, hi) rows with 0 <= lo <= hi, where parsed and
-    # where derived
+    # subjective interval weights are (lo, hi) rows with 0 <= lo <= hi
     doc = one_column_doc("real", [1.0, 2.0])
     doc["subjective_weights"] = {"intervals": [[0.1, 0.3]]}
     assert parse_problem_dict(doc).subjective.tolist() == [[0.1, 0.3]]
@@ -164,8 +162,6 @@ def test_interval_weight_bounds():
         doc["subjective_weights"] = {"intervals": [bad]}
         with pytest.raises(ValidationError, match="subjective weight for attribute 'A'"):
             parse_problem_dict(doc)
-        with pytest.raises(ValidationError, match="interval weight of attribute 'A'"):
-            final_weights(np.array([bad]), np.array([[0.5, 0.5]]), ["A"])
 
 
 def dist(a, b):
