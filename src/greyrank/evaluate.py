@@ -226,11 +226,12 @@ def score_all_methods(
     row per method in ``METHODS`` order, and the shared intermediates, the
     incidence degrees against both ideals and the entropy-derived pair weights.
 
-    Takes the weighted matrix and its ``ideal_vectors``, unchecked.
+    Takes the nonnegative weighted matrix and its ``ideal_vectors``, unchecked.
     """
     # Every method is invariant to the scale of y. An exact power of two
-    # keeps the squared distances of huge entries finite.
-    e = -np.frexp(np.abs(y).max())[1]
+    # keeps the squared distances of huge entries finite; the largest entry of
+    # y is that of its positive ideal.
+    e = -np.frexp(positive.max())[1]
     y = np.ldexp(y, e)
     dplus = distance_grid(y, np.ldexp(positive, e))
     dminus = distance_grid(y, np.ldexp(negative, e))

@@ -9,7 +9,10 @@ result is dimensionless and scale-invariant. Two rules cover the four kinds:
 * interval rule (real and interval columns), lifted to (x_lo, x_lo, x_hi, x_hi)
   = (a_i / sum(b), a_i / sum(b), b_i / sum(a), b_i / sum(a)) with
   (a, b) = (lo, hi) for benefit columns. A cost column is the same rule on the
-  reciprocal bounds, (a, b) = (1/hi, 1/lo), which keeps lower <= upper
+  reciprocal bounds, (a, b) = (1/hi, 1/lo), which keeps lower <= upper.
+  ``interval_rule`` computes it from mantissas and exponents; it has a
+  second caller, ``weights.final_weights``, which applies it to the products
+  of the subjective and objective weight bounds
 * term rule (linguistic and uncertain columns): the index range [a, b] lifts to
   the trapezoid (L_a, M_a, M_b, U_b) spanned by the two terms' triangles, and
   (L_a, M_a) is divided by sum(M_a), (M_b, U_b) by sum(M_b). A linguistic
@@ -66,6 +69,25 @@ class AttributeSpec:
             )
 
 
+def interval_rule(f: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The interval rule (a_i / sum(b), b_i / sum(a)) on values v = f * 2^e.
+
+    ``f`` and ``e`` stack the mantissas and exponents of (a, b) as (2, ..., k),
+    with each row of ``f`` C-contiguous, so it sums in the pairwise order of a
+    lone 1-D row. Returns the (2, ..., k) quotients and the (2, ..., 1) sums of
+    a and b, each scaled by its row's largest exponent, that of a zero left
+    out: a sum is zero where the rule is undefined. Quotients that divide by a
+    zero sum or exceed the largest float are left for the caller to check.
+    """
+    # The rule is scale-free: each row sums scaled by its own largest exponent,
+    # and each quotient undoes the scales in one ldexp. The floor lies below
+    # the exponent of any product of two floats, 2 * -1073.
+    top = e.max(axis=-1, keepdims=True, where=f != 0, initial=-2200)
+    sums = np.ldexp(f, e - top).sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.ldexp(f / sums[::-1], e - top[::-1]), sums
+
+
 def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndarray:
     """Normalize the (n, m, 2) bounds array into shape (n, m, 4), all columns at once.
 
@@ -92,17 +114,11 @@ def normalize_matrix(raw: np.ndarray, specs: Sequence[AttributeSpec]) -> np.ndar
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c, a, b = cost[~terms, None], lo[~terms], hi[~terms]
         bad[~terms] = np.where(c, a <= 0, a < 0)
-        # The rule is scale-free, so it runs on the mantissas and exponents of
-        # the bounds (a, b), v = f * 2^e: a cost reciprocal is (1/f) * 2^-e,
-        # which never overflows. Each bound column sums scaled by its own largest
-        # exponent, that of a zero (which frexp gives as 0) left out, and each
-        # quotient undoes the scales in one ldexp.
+        # The rule runs on the mantissas and exponents of the bounds (a, b),
+        # v = f * 2^e: a cost reciprocal is (1/f) * 2^-e, which never overflows.
         f, e = np.frexp(np.stack([np.where(c, b, a), np.where(c, a, b)]))
-        f, e = np.where(c, 1.0 / f, f), np.where(c, -e, e)
-        top = e.max(axis=2, keepdims=True, where=f != 0, initial=-1075)
-        sums = np.ldexp(f, e - top).sum(axis=2, keepdims=True)
+        (x_lo, x_hi), sums = interval_rule(np.where(c, 1.0 / f, f), np.where(c, -e, e))
         zero[~terms] = ~c[:, 0] & (sums[0, :, 0] <= 0)
-        x_lo, x_hi = np.ldexp(f / sums[::-1], e - top[::-1])
         x[:, ~terms, 0] = x[:, ~terms, 1] = x_lo.T
         x[:, ~terms, 2] = x[:, ~terms, 3] = x_hi.T
 

@@ -7,15 +7,17 @@ normalized matrix: a deviation-maximizing weight (each attribute in
 proportion to its total pairwise plan deviation) and four entropy weights
 (one per tuple component). Their coordinatewise envelope is the objective
 interval weight, and the final weight is the normalized interval product of
-subjective and objective. ``run_pipeline`` keeps the derived weights as the
-``beta_opt``, ``beta_ent``, ``beta_interval`` and ``w_final`` fields of its
-``Report``; the subjective ones are ``problem.subjective``. Both objective
-weightings return ``(weights, notes)``: a weighting without signal falls back
-to uniform, with a note. Each function takes what parsing or the step before
-it produces and checks its shape no more. Every interval weight this module
-derives is a (lo, hi) row with 0 <= lo <= hi by construction, unchecked: an
-envelope is the min and max of nonnegative weights, and ``final_weights``
-lifts an upper bound that underflows below its lower bound to it.
+subjective and objective: ``normalize.interval_rule`` applied to the weight
+products, each taken exactly as a mantissa and an exponent. ``run_pipeline``
+keeps the derived weights as the ``beta_opt``, ``beta_ent``, ``beta_interval``
+and ``w_final`` fields of its ``Report``; the subjective ones are
+``problem.subjective``. Both objective weightings return ``(weights, notes)``:
+a weighting without signal falls back to uniform, with a note. Each function
+takes what parsing or the step before it produces and checks its shape no
+more. Every interval weight this module derives is a (lo, hi) row with
+0 <= lo <= hi by construction, unchecked: an envelope is the min and max of
+nonnegative weights, and ``final_weights`` returns the larger of each row's
+two rounded bounds as its upper bound.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from ._kernels import pairwise_deviation_sums
 from .errors import DegenerateProblemError
+from .normalize import interval_rule
 
 __all__ = [
     "comprehensive_objective",
@@ -48,11 +51,11 @@ def optimization_weights(x: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Deviation-maximizing weights renormalized to sum to one, and notes;
     uniform, with one note, when all plans are identical.
 
-    Takes the (n, m, 4) matrix ``normalize_matrix`` returns, unchecked.
+    Takes the nonnegative (n, m, 4) matrix ``normalize_matrix`` returns, unchecked.
     """
     # The weights are a ratio of totals, so an exact power of two cancels; it
     # keeps the squared distances of huge entries finite.
-    totals = pairwise_deviation_sums(np.ldexp(x, -np.frexp(np.abs(x).max())[1]))
+    totals = pairwise_deviation_sums(np.ldexp(x, -np.frexp(x.max())[1]))
     total = float(totals.sum())
     if total <= 0:
         return np.full(len(totals), 1.0 / len(totals)), [
@@ -118,28 +121,21 @@ def final_weights(alpha, beta, ids: Sequence[str]) -> np.ndarray:
     Takes ``problem.subjective`` and the ``comprehensive_objective`` envelope,
     unchecked.
     """
-    # Scaling a column of alpha by a power of two scales each quotient it
-    # enters by that power, exactly unless it underflows; the powers are
-    # undone at the end. One power per column, not one for all of alpha, keeps
-    # the sums of huge weights finite without making the other column subnormal.
-    e_lo, e_hi = np.frexp(alpha.max(axis=0))[1]
-    prod_lo, prod_hi = (np.ldexp(alpha, [-e_lo, -e_hi]) * beta).T
-    den_hi = float(prod_hi.sum())
-    den_lo = float(prod_lo.sum())
+    # A product of mantissas never underflows or overflows, and its exponent
+    # is the sum. np.array lays the (2, m) rows out contiguously.
+    (f_a, f_b), (e_a, e_b) = np.frexp(np.array((alpha.T, beta.T)))
+    (lo, hi), sums = interval_rule(f_a * f_b, e_a + e_b)
+    den_lo, den_hi = sums[:, 0]
     if den_hi <= 0 or den_lo <= 0:
         bound = "lower" if den_lo <= 0 else "upper"
         raise DegenerateProblemError(
             f"composite weights degenerate: no attribute has a nonzero product of its "
             f"{bound} subjective_weights bound and its {bound} objective weight"
         )
-    with np.errstate(over="ignore"):
-        hi = np.ldexp(prod_hi / den_lo, e_hi - e_lo)
     if not np.isfinite(hi).all():
         j = int(np.argmin(np.isfinite(hi)))
         raise DegenerateProblemError(
             f"interval weight of attribute {ids[j]!r}: the upper bound exceeds the largest float"
         )
-    lo = np.ldexp(prod_lo / den_hi, e_lo - e_hi)
-    # Exactly, hi >= lo. The two columns are scaled by different powers, so
-    # at the float edges a computed upper bound can underflow below its lower.
+    # Exactly, hi >= lo; nothing shows the rounded bounds cannot cross.
     return np.column_stack((lo, np.maximum(lo, hi)))

@@ -6,7 +6,8 @@ grid/line searches) so it shares no code path with the package internals.
 one-pass ``normalize_matrix`` replaced; it shares the term triangles and the
 interval rule's mantissa-and-exponent scaling, so it checks the one pass's
 vectorization and error order, not that scaling. ``exact_interval_rule``, the
-interval rule in ``Fraction`` arithmetic, checks the scaling.
+interval rule in ``Fraction`` arithmetic, checks the scaling, in normalize and
+in ``final_weights``.
 ``loop_matrix_bounds``, ``loop_preferences``, ``loop_experts`` and
 ``loop_intervals`` are the cell-by-cell parse that the one-pass parse
 replaced; they share the per-cell, per-entry, per-vector and per-pair
@@ -206,7 +207,8 @@ def exact_interval_rule(lo: Sequence[float], hi: Sequence[float],
     lo, hi = [Fraction(v) for v in lo], [Fraction(v) for v in hi]
     if direction == "cost":
         lo, hi = [1 / v for v in hi], [1 / v for v in lo]
-    return [(a / sum(hi), b / sum(lo)) for a, b in zip(lo, hi)]
+    sum_lo, sum_hi = sum(lo), sum(hi)
+    return [(a / sum_hi, b / sum_lo) for a, b in zip(lo, hi)]
 
 
 def _normalize_interval(lo: np.ndarray, hi: np.ndarray, spec: AttributeSpec) -> np.ndarray:

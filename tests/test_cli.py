@@ -618,14 +618,28 @@ def test_overflowing_final_weight_names_the_attribute(tmp_path, capsysbinary):
 
 
 def test_final_upper_bound_that_underflows_keeps_its_lower_bound(tmp_path, capsysbinary):
-    # the two final-weight columns are scaled by different powers of two: A1's
-    # upper bound puts A5's scaled upper product below the smallest float,
-    # while its lower product stays above it
+    # A5's bounds are about 2^-1072 times A1's upper bound and 2^-985 times its
+    # lower one: a scale shared by the upper products puts A5's below the
+    # smallest float while one shared by the lower products keeps it above
     data = fighter_document()
     data["subjective_weights"]["intervals"][0] = [0.2305, 3e25]
     data["subjective_weights"]["intervals"][4] = [6e-298, 6e-298]
     lo, hi = np.array(solve_json(capsysbinary, tmp_path, data)["weights"]["final"]).T
     assert (lo <= hi).all()
+
+
+def test_final_weights_of_subnormal_subjective_bounds_rank(tmp_path, capsysbinary):
+    # A1 is flat, so its objective weights are 0 and so are both its products.
+    # Every other product is below the smallest float: as floats they round to
+    # 0 or 5e-324, and a lower product over the upper sum overflows. Taken as
+    # mantissas and exponents, every lower weight is at most 1, and the plans
+    # rank on A2-A9.
+    data = fighter_document()
+    for row in data["matrix"]:
+        row[0] = data["matrix"][0][0]
+    data["subjective_weights"] = {"intervals": [[0.0, 0.5]] + [[5e-324, 5e-324]] * 8}
+    report = solve_json(capsysbinary, tmp_path, data)
+    assert report["final_ranking"] == ["G2", "G5", "G1", "G3", "G4"]
 
 
 def test_identical_plans_still_rank(tmp_path, capsysbinary):

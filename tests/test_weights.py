@@ -1,4 +1,6 @@
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from greyrank.weights import (
     subjective_interval_weights,
 )
 
-from oracles import brute_deviation_coefficients, random_generalized_matrix
+from oracles import brute_deviation_coefficients, exact_interval_rule, random_generalized_matrix
 from test_problem_io import fighter_document
 
 
@@ -194,8 +196,9 @@ def test_final_weights_degenerate_names_the_bound():
 
 
 def test_final_weights_scale_each_bound_on_its_own():
-    # scaled by the largest upper bound, every lower bound would be subnormal
-    # and keep only about 17 bits; here each column has its own scale
+    # the lower and upper products each sum scaled by their own largest
+    # exponent; one scale for both would make every lower bound subnormal,
+    # left with about 17 bits
     alpha = np.array([[1e-10, 1.7e308], [1e-10, 1e-10]])
     beta = np.array([[1e-20, 1e-20], [0.5, 0.5]])
     w = final_weights(alpha, beta, ["A", "B"])
@@ -216,17 +219,31 @@ def edge_intervals(m: int, values: list[float]):
 @given(st.integers(min_value=1, max_value=9).flatmap(lambda m: st.tuples(
     edge_intervals(m, EDGE_WEIGHTS), edge_intervals(m, [w for w in EDGE_WEIGHTS if w <= 1]))))
 @example((np.array([[0.0, 0.5], [5e-324, 5e-324]]), np.array([[1e-20, 1e-20], [0.5, 0.5]])))
+@example((np.array([[0.0, 0.5], [5e-324, 5e-324]]), np.array([[0.0, 0.0], [0.5, 1.0]])))
+@example((np.array([[0.0, 0.5]] + [[5e-324, 5e-324]] * 8),
+          np.array([[0.0, 0.0]] + [[0.125, 0.125]] * 8)))
+@example((np.array([[1e-310, 1e-20]]), np.array([[5e-324, 1e-310]])))
 def test_final_weights_are_ordered_at_the_float_edges(weights):
-    # the lower and upper columns are scaled by different powers of two, so
-    # an upper product can underflow to 0 where its lower one does not
+    # each weight is the interval rule on the exact products, within 1e-12
+    # relative plus 2^-1074; the rule is refused only where it is undefined
+    # or an exact upper weight exceeds the largest float
     alpha, beta = weights
+    products = [[Fraction(a) * Fraction(b) for a, b in zip(alpha[:, k], beta[:, k])]
+                for k in (0, 1)]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"), located("weights"):
             w = final_weights(alpha, beta, [f"A{j}" for j in range(len(alpha))])
     except DegenerateProblemError:
+        assert 0 in map(sum, products) or any(
+            hi > sys.float_info.max
+            for _, hi in exact_interval_rule(*products, "benefit"))
         return
     lo, hi = w.T
-    assert np.isfinite(w).all() and (0 <= lo).all() and (lo <= hi).all()
+    assert (0 <= lo).all() and (lo <= hi).all()
+    exact = exact_interval_rule(*products, "benefit")
+    for got, want in zip(w.tolist(), exact):
+        for x, y in zip(got, want):
+            assert abs(Fraction(x) - y) <= y / 10**12 + Fraction(2) ** -1074
 
 
 def test_weight_errors_name_the_attribute():
