@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import DegenerateProblemError, ValidationError, located
-from .pipeline import run_pipeline
+from .pipeline import Report, run_pipeline
 from .problem import DecisionProblem, _collector_paused, _load_document, parse_problem_dict
 from .report import FORMATS, emit_report
 
@@ -88,6 +87,23 @@ def _apply_overrides(problem: DecisionProblem, args: argparse.Namespace) -> Deci
     return replace(problem, params=params, borda=borda)
 
 
+def _write_report(report: Report, args: argparse.Namespace) -> int:
+    """Write ``report`` to the ``--out`` file, opened only now, or to stdout;
+    exit code 2 with one line when opening, writing or flushing it fails."""
+    try:
+        if args.out:
+            with open(args.out, "wb") as dest:
+                emit_report(report, args.format, dest)
+        else:
+            emit_report(report, args.format, sys.stdout.buffer)
+            sys.stdout.buffer.flush()
+    except OSError as exc:
+        where = args.out or "the report to stdout"
+        print(f"greyrank: error: cannot write {where}: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -95,9 +111,10 @@ def main(argv: list[str] | None = None) -> int:
             data = _load_document(args.file)
             problem = _apply_overrides(parse_problem_dict(data, source=args.file), args)
             del data  # the problem holds everything a report needs
+            report = run_pipeline(problem)
             # the pipeline and the render make no garbage cycles; a json-report
             # render's echo alone would set off dozens of collections
-            payload = emit_report(run_pipeline(problem), args.format)
+            return _write_report(report, args)
     except ValidationError as exc:
         print(f"greyrank: error: {exc}", file=sys.stderr)
         return 2
@@ -110,17 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         # message gets here
         print(f"greyrank: error: {args.file}: the document is nested too deeply", file=sys.stderr)
         return 2
-
-    if args.out:
-        try:
-            Path(args.out).write_bytes(payload)
-        except OSError as exc:
-            print(f"greyrank: error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    return 0
 
 
 if __name__ == "__main__":

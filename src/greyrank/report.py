@@ -15,16 +15,20 @@ section, header, rows and blank line, through one ``section``, one
 read the per-plan columns from one ``_plan_columns`` array, and name the
 methods, one per row of ``report.scores`` and ``report.ranks``, by ``METHODS``.
 orjson writes the json-report from the report's arrays, each float in the
-shortest form that reads back to the same value. In its problem echo, every
-cell of one term, or of one pair of terms, is one shared dict;
+shortest form that reads back to the same value, one top-level field at a
+time: ``emit_report`` with a destination writes each field there before it
+makes the next, so it never holds more than one field's bytes. In its problem
+echo, every cell of one term, or of one pair of terms, is one shared dict;
 ``_matrix_rows`` fills all the columns of a cell kind at once, by one index
-or one assignment, into one object array of cells that it lists once.
+or one assignment, into one object array of cells that it lists once. The
+cells exist only while the echo's field is made.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -228,8 +232,29 @@ def _matrix_rows(problem: DecisionProblem) -> list:
     return cells.tolist()
 
 
-def render_json(report: Report) -> bytes:
-    """The json-report: one line of UTF-8 JSON, keys sorted, a newline at the end."""
+def _problem_echo(problem: DecisionProblem, doc: dict) -> dict:
+    """The problem as a document that solve parses back to an equal problem."""
+    echo = {key: doc[key] for key in
+            ("schema", "name", "plans", "attributes", "params", "linguistic_aliases")}
+    given = problem.subjective if problem.experts is None else problem.experts
+    echo["subjective_weights"] = {problem.subjective_source: given}
+    echo["matrix"] = _matrix_rows(problem)
+    echo["preferences"] = problem.preferences
+    if problem.notes is not None:
+        echo["notes"] = problem.notes
+    return echo
+
+
+def _write_json(report: Report, write: Callable[[bytes], object]) -> int:
+    """Write the json-report part by part through ``write``; return its size in bytes.
+
+    The parts are ``{``, then ``"key":`` and the value of each top-level key
+    in sorted order, then ``}`` and a newline: together, the bytes one
+    ``orjson.dumps`` of the whole report with sorted keys would give. Each
+    part is written before the next is made, and the problem echo, whose
+    matrix cells are the largest set of Python objects in a render, exists
+    only while its part is made.
+    """
     import orjson  # loaded here, so that importing the CLI or a text or CSV solve never does
 
     problem = report.problem
@@ -277,30 +302,45 @@ def render_json(report: Report) -> bytes:
         },
         "final_ranking": report.final_order,
     }
-    # The problem as a document that solve parses back to an equal problem.
-    echo = {key: doc[key] for key in
-            ("schema", "name", "plans", "attributes", "params", "linguistic_aliases")}
-    given = problem.subjective if problem.experts is None else problem.experts
-    echo["subjective_weights"] = {problem.subjective_source: given}
-    echo["matrix"] = _matrix_rows(problem)
-    echo["preferences"] = problem.preferences
-    if problem.notes is not None:
-        echo["notes"] = problem.notes
-    doc["problem"] = echo
     # Arrays are written straight from their buffers; one that is not
     # C-contiguous goes through default, as a list.
-    options = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
-    return orjson.dumps(doc, default=np.ndarray.tolist, option=options)
+    options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+    size, sep = 2, b"{"  # 2: the closing brace and newline
+    for key in sorted([*doc, "problem"]):
+        head = b'%s"%s":' % (sep, key.encode())
+        write(head)
+        # the echo is made as an argument, so it is freed as soon as its bytes are
+        part = orjson.dumps(_problem_echo(problem, doc) if key == "problem" else doc[key],
+                            default=np.ndarray.tolist, option=options)
+        write(part)
+        size += len(head) + len(part)
+        sep = b","
+        del part  # before the next part is made
+    write(b"}\n")
+    return size
 
 
-def emit_report(report: Report, fmt: str) -> bytes:
-    """Render ``report`` in the requested format and return UTF-8 bytes."""
-    if fmt == "json-report":
-        return render_json(report)
-    if fmt == "text":
-        text = render_text(report)
-    elif fmt == "csv":
-        text = render_csv(report)
-    else:
+def render_json(report: Report) -> bytes:
+    """The json-report: one line of UTF-8 JSON, keys sorted, a newline at the end."""
+    return emit_report(report, "json-report")
+
+
+def emit_report(report: Report, fmt: str, out: BinaryIO | None = None) -> bytes | range:
+    """Render ``report`` in the requested format as UTF-8 bytes.
+
+    Without ``out``, return the bytes. With ``out``, a binary file, write them
+    to it instead, the json-report one top-level field at a time (see
+    ``_write_json``), and return ``range(n)`` for the ``n`` bytes written: its
+    ``len()`` is the report's size, as that of the bytes would be, and it
+    holds none of them.
+    """
+    if fmt not in FORMATS:
         raise ValidationError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
-    return text.encode("utf-8")
+    sink = io.BytesIO() if out is None else out
+    if fmt == "json-report":
+        size = _write_json(report, sink.write)
+    else:
+        data = (render_text(report) if fmt == "text" else render_csv(report)).encode("utf-8")
+        sink.write(data)
+        size = len(data)
+    return sink.getvalue() if out is None else range(size)

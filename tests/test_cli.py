@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import gc
 import io
 import json
@@ -244,6 +245,78 @@ def test_out_flag_naming_a_directory_exits_2(toy_file, tmp_path, capsysbinary):
     assert rc == 2 and out == b""
     assert err.startswith(f"greyrank: error: cannot write {tmp_path}: ".encode())
     assert err.count(b"\n") == 1
+
+
+class FullStdout:
+    """A ``sys.stdout`` whose buffer fails as a full device does, on write or on flush."""
+
+    def __init__(self, failing: str) -> None:
+        self.buffer = self
+        self.failing = failing
+
+    def _fail(self, call: str) -> None:
+        if call == self.failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, data: bytes) -> int:
+        self._fail("write")
+        return len(data)
+
+    def flush(self) -> None:
+        self._fail("flush")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-report"])
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_failed_write_to_stdout_exits_2_in_one_line(monkeypatch, capsys, failing, fmt):
+    # a text report fits the stdout buffer, so a full device shows only at flush
+    monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+    assert main(["solve", str(fighter_problem_path()), "--format", fmt]) == 2
+    assert capsys.readouterr().err == (
+        "greyrank: error: cannot write the report to stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt, dest", [("text", "stdout"), ("json-report", "stdout"),
+                                       ("json-report", "--out")])
+def test_full_device_exits_2_in_one_line(fmt, dest):
+    argv = [sys.executable, "-m", "greyrank.cli", "solve", str(fighter_problem_path()),
+            "--format", fmt]
+    argv += ["--out", "/dev/full"] if dest == "--out" else []
+    src = str(Path(greyrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    where = "/dev/full" if dest == "--out" else "the report to stdout"
+    assert (done.returncode, done.stderr) == (
+        2, f"greyrank: error: cannot write {where}: [Errno 28] No space left on device\n")
+
+
+def _fighter_that_overflows_normalize(tmp_path) -> list[str]:
+    data = fighter_document()
+    data["matrix"][1][3] = {"interval": [5e-324, 1.7e308]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return [str(path)]
+
+
+@pytest.mark.parametrize("make, rc, message", [
+    (_fighter_that_overflows_normalize, 3, "stage normalize: plan 'G2', attribute 'A4': "),
+    (lambda tmp_path: [str(fighter_problem_path()), "--rho", "1.5"], 2, "params: "),
+], ids=["exit-3", "exit-2"])
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+def test_failing_solve_leaves_out_file_alone(tmp_path, capsysbinary, make, rc, message,
+                                             existing):
+    out = tmp_path / "report"
+    if existing:
+        out.write_bytes(b"an earlier report\n")
+    for fmt in ("text", "json-report"):
+        assert main(["solve", *make(tmp_path), "--format", fmt, "--out", str(out)]) == rc
+        assert message.encode() in capsysbinary.readouterr().err
+        if existing:
+            assert out.read_bytes() == b"an earlier report\n"
+        else:
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("theta_plus", [1e-17, 5e-324])

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from greyrank import (
     ValidationError,
+    cli,
     emit_report,
     fighter_problem_path,
     load_fighter_problem,
@@ -19,7 +21,7 @@ from greyrank import (
     run_pipeline,
 )
 from greyrank.report import _matrix_rows, render_csv, render_json, render_text
-from greyrank.values import term_indices
+from greyrank.values import canonical_labels, term_indices
 
 from oracles import loop_matrix_rows, loop_render_csv, loop_render_text
 from test_problem_io import KINDS, MINIMAL, column_document
@@ -298,3 +300,82 @@ def test_fallback_notes_render_byte_for_byte(n, entropy_note):
     assert csv_bytes.count(b"\nnote,") == 5
     assert b"".join(b"\nnote,%s" % note for note in notes) + b"\n\n# attributes\n" in csv_bytes
     assert b'"notes":["' + b'","'.join(notes) + b'"]' in emit_report(report, "json-report")
+
+
+def _generated(n: int, kinds, seed: int = 0):
+    """A problem of ``n`` plans with one benefit column per entry of ``kinds``;
+    every column normalizes, since each cell's midpoint is positive."""
+    rng = random.Random(seed)
+    terms = term_indices({})
+    labels = [label for label in canonical_labels() if terms[label] > 0]
+
+    def cell(kind: str):
+        if kind == "real":
+            return rng.uniform(0.5, 10)
+        if kind == "interval":
+            return {"interval": sorted(rng.uniform(0.5, 10) for _ in range(2))}
+        if kind == "linguistic":
+            return {"ling": rng.choice(labels)}
+        return {"uncertain": sorted(rng.sample(labels, 2), key=terms.get)}
+
+    matrix = [[cell(kind) for kind in kinds] for _ in range(n)]
+    preferences = [sorted(rng.uniform(0, 1) for _ in range(4)) for _ in range(n)]
+    return parse_problem_dict(column_document(kinds, matrix, preferences=preferences))
+
+
+class CountingSink:
+    """A binary file that keeps a count of what is written to it, or the bytes too."""
+
+    def __init__(self, keep: bool = True) -> None:
+        self.parts: list[bytes] = []
+        self.size = 0
+        self.keep = keep
+
+    def write(self, data: bytes) -> int:
+        self.size += len(data)
+        if self.keep:
+            self.parts.append(bytes(data))
+        return len(data)
+
+
+# Past the one-block threshold (m * n^2 > 2^16), with every cell kind.
+STREAMED_PROBLEMS = {"fighter": load_fighter_problem, "fighter-x3": _fighter_x3,
+                     "generated-90x9": lambda: _generated(90, KINDS * 2 + KINDS[:1])}
+
+
+@pytest.mark.parametrize("name", list(STREAMED_PROBLEMS))
+def test_streamed_report_is_the_in_memory_report(name):
+    # written to a file, every format is the bytes emit_report returns, and
+    # the json-report is written a part at a time
+    report = run_pipeline(STREAMED_PROBLEMS[name]())
+    for fmt in ("text", "csv", "json-report"):
+        sink = CountingSink()
+        written = emit_report(report, fmt, sink)
+        assert b"".join(sink.parts) == emit_report(report, fmt), fmt
+        assert len(written) == sink.size, fmt
+        assert (len(sink.parts) > 1) == (fmt == "json-report"), fmt
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json-report"])
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsysbinary, fmt):
+    out = tmp_path / "report"
+    assert cli.main(["solve", str(fighter_problem_path()), "--format", fmt]) == 0
+    assert cli.main(["solve", str(fighter_problem_path()), "--format", fmt,
+                     "--out", str(out)]) == 0
+    assert capsysbinary.readouterr() == (out.read_bytes(), b"")
+
+
+def test_streamed_json_report_render_peaks_below_its_size():
+    # written field by field, the render never holds the whole report, nor
+    # the echo's cells beside the larger tables: 40 plans of 160 attributes
+    # give a 1.3 MiB report, which a render of one bytes object peaked at twice
+    report = run_pipeline(_generated(40, [kind for kind in KINDS for _ in range(40)]))
+    sink = CountingSink(keep=False)
+    tracemalloc.start()
+    try:
+        emit_report(report, "json-report", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 2**20
+    assert peak < sink.size, (peak, sink.size)

@@ -59,6 +59,24 @@ def test_traced_names_called_per_solve(tmp_path, monkeypatch):
     assert all(calls.values()), {key: n for key, n in calls.items() if not n}
 
 
+def test_perfbench_report_bytes_is_the_written_size(tmp_path, monkeypatch):
+    # --trace 1 takes report.bytes as len() of what cli.emit_report returns,
+    # which for a report written to its destination holds no bytes
+    report_bytes = _child_namespace()["RESULT_COUNTS"]["report.render_ms"]
+    emit, counts = cli.emit_report, []
+
+    def capturing(*args, **kwargs):
+        written = emit(*args, **kwargs)
+        counts.append(report_bytes(written))
+        return written
+
+    monkeypatch.setattr(cli, "emit_report", capturing)
+    out = tmp_path / "r"
+    assert cli.main(["solve", str(fighter_problem_path()), "--format", "json-report",
+                     "--out", str(out)]) == 0
+    assert counts == [{"report.bytes": out.stat().st_size}]
+
+
 def test_perfbench_problem_counts_read_a_parsed_problem():
     # --trace 1 counts plans, attributes and cells of each kind off the parse result
     problem_counts = _child_namespace()["RESULT_COUNTS"]["problem.parse_ms"]
